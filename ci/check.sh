@@ -15,8 +15,8 @@
 #
 # Bench smoke runs write their BENCH_*.json output to a scratch
 # directory (--out), never to the checked-in baselines: the gate must
-# leave the git tree clean. Regression checks (simperf/shardscale
-# --check) read the checked-in baselines and write nothing.
+# leave the git tree clean. Regression checks (--check) read the
+# checked-in baselines and write nothing.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,19 +68,14 @@ if [[ "$stage" == "build" || "$stage" == "all" ]]; then
     run grep -q '"zero_overhead": true' "$scratch/BENCH_telemetry.json"
     run cargo test -q --release --test golden_exposition
 
-    # Hot-path smoke: replay the quick-scale probe comparison against the
-    # checked-in BENCH_simperf.json. Any digest drift is fatal (the
-    # optimisations must be behaviour-preserving, bit for bit), as is an
-    # events/sec regression past the recorded baseline's floor.
+    # Perf smoke: replay the quick-scale probe comparison once serially
+    # against the checked-in BENCH_simperf.json. Any digest drift is
+    # fatal (optimisations must be behaviour-preserving, bit for bit),
+    # as is an events/sec regression past the recorded baseline's
+    # floor. A threads=4 replay must merge to the same digest
+    # (steal-order divergence fatal) and — on a runner with >= 4
+    # hardware threads — hit the speedup floor.
     run cargo run --release -p riptide-bench --bin simperf -- \
-        --scale quick --check
-
-    # Shard-scaling smoke: the work-stealing scheduler must reproduce
-    # the checked-in serial digest (drift fatal), merge identically at
-    # threads=1 and threads=4 (steal-order divergence fatal), and — on
-    # a runner with >= 4 hardware threads — hit the speedup floor at
-    # threads=4.
-    run cargo run --release -p riptide-bench --bin shardscale -- \
         --scale quick --check
 
     # Destination-table smoke: a small megacdn run exercises the trie,

@@ -15,22 +15,10 @@
 //! cargo run --release --bin chaos -- --scale quick --seeds 2
 //! ```
 
-use riptide_bench::{banner, execute_plan, parse_args};
+use riptide_bench::{banner, execute_plan, mean_gain_pct, median_ms, parse_args};
 use riptide_cdn::engine::RunPlan;
-use riptide_cdn::sim::ProbeOutcome;
-use riptide_cdn::stats::Cdf;
 
 const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
-
-fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
-    let cdf = Cdf::new(
-        probes
-            .iter()
-            .filter(|p| p.size == size)
-            .map(|p| p.completion.as_millis_f64()),
-    );
-    (!cdf.is_empty()).then(|| cdf.median())
-}
 
 fn main() {
     let opts = parse_args();
@@ -50,14 +38,12 @@ fn main() {
     for (i, &rate) in RATES.iter().enumerate() {
         let control = report.merged_chaos_probes(2 * i as u32);
         let riptide = report.merged_chaos_probes(2 * i as u32 + 1);
-        let mut gains = Vec::new();
         for &size in &sizes {
             let (c, r) = match (median_ms(&control, size), median_ms(&riptide, size)) {
                 (Some(c), Some(r)) => (c, r),
                 _ => continue,
             };
             let gain = (c - r) / c * 100.0;
-            gains.push(gain);
             println!(
                 "{:>6} {:>8} {:>12.1} {:>12.1} {:>7.1}",
                 rate,
@@ -67,7 +53,7 @@ fn main() {
                 gain
             );
         }
-        let mean_gain = gains.iter().sum::<f64>() / gains.len().max(1) as f64;
+        let mean_gain = mean_gain_pct(&control, &riptide, &sizes);
         if rate == 0.0 {
             zero_rate_gain = Some(mean_gain);
         }

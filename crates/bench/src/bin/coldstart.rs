@@ -24,16 +24,20 @@
 //! ```
 //!
 //! * Default mode runs the sweep and rewrites `BENCH_coldstart.json`.
-//! * `--check` regression mode for CI: re-runs the sweep, compares the
-//!   run digest against the recorded baseline (**drift is fatal**), and
-//!   fails unless both warm arms beat the cold arm's mean ramp at the
-//!   top crash rate by at least [`FLOOR_IMPROVEMENT`].
+//! * `--check` regression mode for CI: re-runs the sweep and compares
+//!   the run digest against the recorded baseline (**drift is fatal**)
+//!   instead of rewriting it.
+//! * In **every** mode the run fails unless, at each positive crash
+//!   rate, every arm tracked restarts and both warm arms beat the cold
+//!   arm's mean ramp by at least [`FLOOR_IMPROVEMENT`].
 
 use std::process::ExitCode;
 
-use riptide_bench::banner;
+use riptide_bench::{
+    assert_reproduces_probe_comparison, banner, execute_plan, parse_args_with, run_gate,
+    write_bench_json, Baseline, Cli, RunOptions,
+};
 use riptide_cdn::engine::{RunPlan, RunReport};
-use riptide_cdn::experiment::ExperimentScale;
 use riptide_cdn::sim::ColdstartReport;
 
 const BENCH_FILE: &str = "BENCH_coldstart.json";
@@ -46,80 +50,11 @@ const FLOOR_IMPROVEMENT: f64 = 1.5;
 
 const MODES: [&str; 3] = ["cold", "snapshot", "snapshot+gossip"];
 
-struct Options {
-    scale_name: String,
-    scale: ExperimentScale,
-    seeds: u32,
-    threads: Option<usize>,
-    check: bool,
-    /// The bench file: read in `--check` mode, rewritten otherwise.
-    out: std::path::PathBuf,
-}
-
-fn parse() -> Options {
-    let mut opts = Options {
-        scale_name: "test".into(),
-        scale: ExperimentScale::test(),
-        seeds: 2,
-        threads: None,
-        check: false,
-        out: std::path::PathBuf::from(BENCH_FILE),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.scale = match v.as_str() {
-                    "test" => ExperimentScale::test(),
-                    "quick" => ExperimentScale::quick(),
-                    "paper" => ExperimentScale::paper(),
-                    other => panic!("unknown scale {other:?} (test|quick|paper)"),
-                };
-                opts.scale_name = v;
-            }
-            "--seeds" => {
-                opts.seeds = value("--seeds").parse().expect("--seeds takes a number");
-                assert!(opts.seeds >= 1, "--seeds must be at least 1");
-            }
-            "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .expect("--threads takes a number");
-                assert!(n >= 1, "--threads must be at least 1");
-                opts.threads = Some(n);
-            }
-            "--check" => opts.check = true,
-            "--out" => opts.out = std::path::PathBuf::from(value("--out")),
-            "--help" | "-h" => {
-                println!(
-                    "usage: coldstart [--scale test|quick|paper] [--seeds N] \
-                     [--threads N] [--check] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other:?}; try --help"),
-        }
-    }
-    opts
-}
-
-fn run(opts: &Options, plan: &RunPlan) -> RunReport {
-    let threads = opts
-        .threads
-        .unwrap_or_else(riptide_cdn::engine::default_threads);
-    eprintln!(
-        "running {} ({} shards) on {} thread(s)...",
-        plan.name,
-        plan.shards.len(),
-        threads
-    );
-    plan.run_with_threads(threads)
-}
+const CLI: Cli = Cli {
+    flags: &["--scale", "--seeds", "--threads", "--check", "--out"],
+    scale: "test",
+    seeds: 2,
+};
 
 /// The three per-mode merged reports of one crash-rate index.
 fn mode_reports(report: &RunReport, rate_idx: usize) -> [ColdstartReport; 3] {
@@ -140,10 +75,13 @@ fn ramp_or_neg(r: &ColdstartReport) -> f64 {
 /// Gate one warm arm against the cold arm at the top rate: pass when
 /// the cold arm never recovered at all (a warm recovery beats an
 /// unfinished cold ramp outright), else demand the mean-ramp ratio.
-fn warm_beats_cold(cold: &ColdstartReport, warm: &ColdstartReport, arm: &str) -> bool {
+fn warm_beats_cold(
+    cold: &ColdstartReport,
+    warm: &ColdstartReport,
+    arm: &str,
+) -> Result<(), String> {
     let Some(warm_mean) = warm.mean_ramp_secs() else {
-        eprintln!("coldstart: {arm} arm completed no ramp — nothing to gate");
-        return false;
+        return Err(format!("{arm} arm completed no ramp — nothing to gate"));
     };
     match cold.mean_ramp_secs() {
         None => {
@@ -151,120 +89,48 @@ fn warm_beats_cold(cold: &ColdstartReport, warm: &ColdstartReport, arm: &str) ->
                 cold.unrecovered > 0,
                 "cold arm has no ramps at a positive crash rate"
             );
-            true
+            Ok(())
         }
         Some(cold_mean) => {
             let ratio = cold_mean / warm_mean.max(1e-9);
             if ratio < FLOOR_IMPROVEMENT {
-                eprintln!(
-                    "coldstart: RAMP REGRESSION — {arm} arm ramps {warm_mean:.2}s vs cold \
+                return Err(format!(
+                    "RAMP REGRESSION — {arm} arm ramps {warm_mean:.2}s vs cold \
                      {cold_mean:.2}s ({ratio:.2}x, floor {FLOOR_IMPROVEMENT:.1}x)"
-                );
-                return false;
+                ));
             }
-            true
+            Ok(())
         }
     }
-}
-
-/// Same flat-JSON field scan as `simperf`/`shardscale` (the workspace
-/// has no JSON dependency; bench files keep one scalar per line above
-/// the per-rate rows).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-fn check(opts: &Options, plan: &RunPlan) -> ExitCode {
-    let text = match std::fs::read_to_string(&opts.out) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("coldstart: cannot read {}: {e}", opts.out.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    for (key, got) in [
-        ("scale", opts.scale_name.as_str()),
-        ("seeds", &opts.seeds.to_string()),
-    ] {
-        let want = json_field(&text, key).unwrap_or_default();
-        if want != got {
-            eprintln!(
-                "coldstart: {} was recorded at --{key} {want}, this run used --{key} {got}",
-                opts.out.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let report = run(opts, plan);
-    let digest = format!("{:016x}", report.digest_fnv64());
-    let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-    if want_digest != digest {
-        eprintln!(
-            "coldstart: DIGEST DRIFT — baseline {want_digest}, got {digest}; \
-             the sweep's observable behaviour changed"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let top = RATES.len() - 1;
-    let [cold, snap, gossip] = mode_reports(&report, top);
-    for (arm, r) in MODES.iter().zip([&cold, &snap, &gossip]) {
-        if r.restarts_tracked == 0 {
-            eprintln!(
-                "coldstart: {arm} arm tracked no restarts at rate {} — the \
-                 crash schedule went missing",
-                RATES[top]
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    if !warm_beats_cold(&cold, &snap, "snapshot")
-        || !warm_beats_cold(&cold, &gossip, "snapshot+gossip")
-    {
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "# check: digest identical; snapshot ramps {:.2}s, snapshot+gossip {:.2}s \
-         vs cold {} at rate {} (floor {FLOOR_IMPROVEMENT:.1}x)",
-        ramp_or_neg(&snap),
-        ramp_or_neg(&gossip),
-        cold.mean_ramp_secs()
-            .map_or("unrecovered".into(), |s| format!("{s:.2}s")),
-        RATES[top]
-    );
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
-    let opts = parse();
+    let opts = parse_args_with(&CLI);
     banner(
         "Cold start",
         "restart ramp-up with persistence off / snapshot / snapshot+gossip",
     );
-    let plan = RunPlan::coldstart_sweep(&opts.scale, &RATES, opts.seeds);
-    if opts.check {
-        return check(&opts, &plan);
-    }
+    run_gate(|| run(&opts))
+}
 
-    let report = run(&opts, &plan);
+fn run(opts: &RunOptions) -> Result<(), String> {
+    let recorded = Baseline::read_if_check(opts, BENCH_FILE)?;
+    let plan = RunPlan::coldstart_sweep(&opts.scale, &RATES, opts.seeds as u32);
+    let report = execute_plan(opts, &plan);
+    let digest_fnv = format!("{:016x}", report.digest_fnv64());
+    if let Some(recorded) = &recorded {
+        recorded.expect("digest_fnv", &digest_fnv)?;
+    }
 
     // Digest-neutrality gate: at a zero crash rate the persistence-off
     // arm must be bit-identical to the fault-free Riptide probe arm,
     // and the snapshot arm must probe identically to it — durability is
     // pure bookkeeping until a crash consumes it. (Gossip legitimately
     // differs: merged entries jump-start connections.)
-    let baseline = run(&opts, &RunPlan::probe_comparison(&opts.scale, opts.seeds));
-    assert_eq!(
-        report.merged_coldstart_probes(0),
-        baseline.merged_probes(1),
-        "zero-rate cold arm diverged from the fault-free probe comparison"
+    assert_reproduces_probe_comparison(
+        opts,
+        "zero-rate cold",
+        &[(1, report.merged_coldstart_probes(0))],
     );
     assert_eq!(
         report.merged_coldstart_probes(1),
@@ -306,11 +172,17 @@ fn main() -> ExitCode {
                 gossip.digests_matched,
                 gossip.gossip_backoff_skips,
             );
-            assert!(
-                warm_beats_cold(cold, snap, "snapshot")
-                    && warm_beats_cold(cold, gossip, "snapshot+gossip"),
-                "rate {rate}: a warm arm failed the {FLOOR_IMPROVEMENT:.1}x ramp floor"
-            );
+            for (arm, r) in MODES.iter().zip(&reports) {
+                if r.restarts_tracked == 0 {
+                    return Err(format!(
+                        "{arm} arm tracked no restarts at rate {rate} — the crash schedule \
+                         went missing"
+                    ));
+                }
+            }
+            warm_beats_cold(cold, snap, "snapshot")
+                .and_then(|()| warm_beats_cold(cold, gossip, "snapshot+gossip"))
+                .map_err(|why| format!("rate {rate}: {why}"))?;
         }
         rows.push(format!(
             "    {{\"rate\": {rate}, \"cold_ramp_s\": {:.3}, \"snapshot_ramp_s\": {:.3}, \
@@ -325,11 +197,19 @@ fn main() -> ExitCode {
         ));
     }
 
+    if recorded.is_some() {
+        println!(
+            "# check: digest identical ({digest_fnv}); warm arms beat the cold ramp at every \
+             positive rate (floor {FLOOR_IMPROVEMENT:.1}x)"
+        );
+        return Ok(());
+    }
+
     let [cold, snap, gossip] = mode_reports(&report, RATES.len() - 1);
     let json = format!(
         "{{\n  \"benchmark\": \"coldstart-sweep\",\n  \"scale\": \"{}\",\n  \
          \"seeds\": {},\n  \"sites\": {},\n  \"simulated_secs\": {},\n  \
-         \"shards\": {},\n  \"digest_fnv\": \"{:016x}\",\n  \
+         \"shards\": {},\n  \"digest_fnv\": \"{}\",\n  \
          \"floor_improvement\": {:.1},\n  \"zero_rate_bit_identical\": true,\n  \
          \"top_rate_restarts\": {},\n  \"rates\": [\n{}\n  ]\n}}\n",
         opts.scale_name,
@@ -337,14 +217,12 @@ fn main() -> ExitCode {
         opts.scale.sites,
         opts.scale.total().as_secs_f64().round() as u64,
         plan.shards.len(),
-        report.digest_fnv64(),
+        digest_fnv,
         FLOOR_IMPROVEMENT,
         cold.restarts_tracked + snap.restarts_tracked + gossip.restarts_tracked,
         rows.join(",\n")
     );
-    std::fs::write(&opts.out, &json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", opts.out.display()));
-    print!("{json}");
+    write_bench_json(opts, BENCH_FILE, &json);
     println!("# warm arms beat the cold ramp at every positive rate");
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -25,34 +25,13 @@
 //!
 //! [`FaultPlan::guardrail`]: riptide_simnet::fault::FaultPlan::guardrail
 
-use riptide_bench::{banner, execute_plan, parse_args, write_bench_json};
+use riptide_bench::{
+    assert_reproduces_probe_comparison, banner, execute_plan, mean_gain_pct, median_ms, parse_args,
+    write_bench_json,
+};
 use riptide_cdn::engine::RunPlan;
-use riptide_cdn::sim::ProbeOutcome;
-use riptide_cdn::stats::Cdf;
 
 const RATES: [f64; 3] = [0.0, 0.1, 0.3];
-
-fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
-    let cdf = Cdf::new(
-        probes
-            .iter()
-            .filter(|p| p.size == size)
-            .map(|p| p.completion.as_millis_f64()),
-    );
-    (!cdf.is_empty()).then(|| cdf.median())
-}
-
-/// Mean across probe sizes of the median harm vs control, in percent
-/// (positive = slower than control).
-fn mean_harm(control: &[ProbeOutcome], treated: &[ProbeOutcome], sizes: &[u64]) -> f64 {
-    let mut harms = Vec::new();
-    for &size in sizes {
-        if let (Some(c), Some(t)) = (median_ms(control, size), median_ms(treated, size)) {
-            harms.push((t - c) / c * 100.0);
-        }
-    }
-    harms.iter().sum::<f64>() / harms.len().max(1) as f64
-}
 
 fn main() {
     let opts = parse_args();
@@ -65,19 +44,13 @@ fn main() {
 
     // The zero-churn arms must be bit-identical to the fault-free probe
     // comparison: the guardrail machinery adds nothing until it fires.
-    let baseline = execute_plan(
+    assert_reproduces_probe_comparison(
         &opts,
-        &RunPlan::probe_comparison(&opts.scale, opts.seeds as u32),
-    );
-    assert_eq!(
-        report.merged_guardrail_probes(0),
-        baseline.merged_probes(0),
-        "zero-rate control arm diverged from the fault-free comparison"
-    );
-    assert_eq!(
-        report.merged_guardrail_probes(1),
-        baseline.merged_probes(1),
-        "zero-rate riptide arm diverged from the fault-free comparison"
+        "zero rate",
+        &[
+            (0, report.merged_guardrail_probes(0)),
+            (1, report.merged_guardrail_probes(1)),
+        ],
     );
     println!("# zero-rate arms bit-identical to the fault-free probe comparison");
 
@@ -112,8 +85,10 @@ fn main() {
                 (g - c) / c * 100.0,
             );
         }
-        let rip_harm = mean_harm(&control, &riptide, &sizes);
-        let grd_harm = mean_harm(&control, &guarded, &sizes);
+        // Mean median harm vs control in percent (positive = slower);
+        // `0.0 -` keeps a zero harm +0.0.
+        let rip_harm = 0.0 - mean_gain_pct(&control, &riptide, &sizes);
+        let grd_harm = 0.0 - mean_gain_pct(&control, &guarded, &sizes);
 
         // Safety counters, both Riptide arms.
         for (arm, scenario) in [("riptide", base + 1), ("guarded", base + 2)] {
@@ -213,6 +188,5 @@ fn main() {
         runs.join(",\n")
     );
     write_bench_json(&opts, "BENCH_guardrail.json", &json);
-    print!("{json}");
     println!("# closed loop: breaker + reconciler held every safety invariant at every rate");
 }

@@ -23,7 +23,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use riptide::prelude::*;
-use riptide_bench::banner;
+use riptide_bench::{
+    banner, parse_args_with, run_gate, write_bench_json, Baseline, Cli, RunOptions,
+};
 use riptide_cdn::megacdn::MegaCdnConfig;
 use riptide_linuxnet::lpm::LpmTrie;
 use riptide_linuxnet::prefix::Ipv4Prefix;
@@ -47,60 +49,11 @@ const EVICT_TRIALS: usize = 3;
 /// Lookups issued against the trie in phase A.
 const LOOKUPS: usize = 1 << 20;
 
-struct Options {
-    scale_name: String,
-    cfg: MegaCdnConfig,
-    check: bool,
-    out: std::path::PathBuf,
-}
-
-fn parse() -> Options {
-    let mut opts = Options {
-        scale_name: "quick".into(),
-        cfg: MegaCdnConfig::quick(),
-        check: false,
-        out: std::path::PathBuf::from(BENCH_FILE),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.cfg = match v.as_str() {
-                    "test" => MegaCdnConfig::test(),
-                    "quick" => MegaCdnConfig::quick(),
-                    "paper" => MegaCdnConfig::paper(),
-                    other => panic!("unknown scale {other:?} (test|quick|paper)"),
-                };
-                opts.scale_name = v;
-            }
-            "--check" => opts.check = true,
-            "--out" => opts.out = std::path::PathBuf::from(value("--out")),
-            "--help" | "-h" => {
-                println!("usage: megacdn [--scale test|quick|paper] [--check] [--out PATH]");
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other:?}; try --help"),
-        }
-    }
-    opts
-}
-
-/// Pulls `"key": <value>` out of the flat bench JSON (no nested objects,
-/// so a string scan suffices — the workspace has no JSON dependency).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
+const CLI: Cli = Cli {
+    flags: &["--scale", "--check", "--out"],
+    scale: "quick",
+    seeds: 1,
+};
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -337,58 +290,34 @@ fn structural_gates(m: &Measured) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = parse();
+    let opts = parse_args_with(&CLI);
     banner(
         "Mega-CDN destination table",
         "trie lookup/insert, aggregation round trip, reconcile and eviction at 1M+ prefixes",
     );
-    let m = measure(&opts.cfg);
+    run_gate(|| run(&opts))
+}
 
+fn run(opts: &RunOptions) -> Result<(), String> {
+    let cfg = match opts.scale_name.as_str() {
+        "test" => MegaCdnConfig::test(),
+        "quick" => MegaCdnConfig::quick(),
+        _ => MegaCdnConfig::paper(),
+    };
+    let baseline = Baseline::read_if_check(opts, BENCH_FILE)?;
+    let m = measure(&cfg);
+    if let Some(baseline) = &baseline {
+        baseline.expect("lookup_digest", &m.lookup_digest)?;
+        baseline.expect("roundtrip_digest", &m.roundtrip_digest)?;
+    }
+    structural_gates(&m)?;
     if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("megacdn: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "megacdn: {} was recorded at --scale {want_scale}, this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        for (field, got) in [
-            ("lookup_digest", &m.lookup_digest),
-            ("roundtrip_digest", &m.roundtrip_digest),
-        ] {
-            let want = json_field(&text, field).unwrap_or_default();
-            if want != *got {
-                eprintln!(
-                    "megacdn: DIGEST DRIFT in {field} — baseline {want}, got {got}; \
-                     the destination table's observable behaviour changed"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(why) = structural_gates(&m) {
-            eprintln!("megacdn: GATE FAILED — {why}");
-            return ExitCode::FAILURE;
-        }
         println!(
             "# check: digests ok; ratio {:.0}x over {} destinations; \
              eviction scaling {:.1}x (<= {MAX_EVICT_SCALING}); reconcile {} ms",
             m.aggregation_ratio, m.destinations, m.evict_scaling_ratio, m.reconcile_ms
         );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Err(why) = structural_gates(&m) {
-        eprintln!("megacdn: GATE FAILED — {why}");
-        return ExitCode::FAILURE;
+        return Ok(());
     }
 
     let json = format!(
@@ -406,8 +335,8 @@ fn main() -> ExitCode {
          \"evict_large_ms\": {:.1},\n  \"evict_small_ms\": {:.1},\n  \
          \"evict_scaling_ratio\": {:.2}\n}}\n",
         opts.scale_name,
-        opts.cfg.pops,
-        opts.cfg.hosts_per_pop,
+        cfg.pops,
+        cfg.hosts_per_pop,
         m.destinations,
         m.trie_insert_per_sec,
         m.trie_lookup_ns,
@@ -430,12 +359,10 @@ fn main() -> ExitCode {
         m.evict_small_ms,
         m.evict_scaling_ratio,
     );
-    std::fs::write(&opts.out, &json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", opts.out.display()));
-    print!("{json}");
+    write_bench_json(opts, BENCH_FILE, &json);
     println!(
         "# {} destinations -> {} routes ({:.0}x); trie {:.1} ns/lookup, {} bytes",
         m.destinations, m.installed_routes, m.aggregation_ratio, m.trie_lookup_ns, m.trie_mem_bytes
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

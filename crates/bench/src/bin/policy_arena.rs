@@ -26,99 +26,21 @@
 use std::process::ExitCode;
 
 use riptide::policy::registered_policies;
-use riptide_bench::banner;
+use riptide_bench::{
+    assert_reproduces_probe_comparison, banner, execute_plan, median_gains_pct, parse_args_with,
+    run_gate, write_bench_json, Baseline, Cli, RunOptions,
+};
 use riptide_cdn::engine::RunPlan;
-use riptide_cdn::experiment::ExperimentScale;
 use riptide_cdn::sim::ProbeOutcome;
-use riptide_cdn::stats::Cdf;
 use riptide_cdn::workload::ProbeConfig;
 
 const BENCH_FILE: &str = "BENCH_policyarena.json";
 
-struct Options {
-    scale_name: String,
-    scale: ExperimentScale,
-    seeds: u32,
-    threads: usize,
-    check: bool,
-    /// The bench file: read in `--check` mode, rewritten otherwise.
-    /// `--out` points smoke runs away from the checked-in baseline.
-    out: std::path::PathBuf,
-}
-
-fn parse() -> Options {
-    let mut opts = Options {
-        scale_name: "quick".into(),
-        scale: ExperimentScale::quick(),
-        seeds: 1,
-        threads: 1,
-        check: false,
-        out: std::path::PathBuf::from(BENCH_FILE),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.scale = match v.as_str() {
-                    "test" => ExperimentScale::test(),
-                    "quick" => ExperimentScale::quick(),
-                    "paper" => ExperimentScale::paper(),
-                    other => panic!("unknown scale {other:?} (test|quick|paper)"),
-                };
-                opts.scale_name = v;
-            }
-            "--seeds" => {
-                opts.seeds = value("--seeds").parse().expect("--seeds takes a number");
-                assert!(opts.seeds >= 1, "--seeds must be at least 1");
-            }
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .parse()
-                    .expect("--threads takes a number");
-                assert!(opts.threads >= 1, "--threads must be at least 1");
-            }
-            "--check" => opts.check = true,
-            "--out" => opts.out = std::path::PathBuf::from(value("--out")),
-            "--help" | "-h" => {
-                println!(
-                    "usage: policy_arena [--scale test|quick|paper] [--seeds N] \
-                     [--threads N] [--check] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other:?}; try --help"),
-        }
-    }
-    opts
-}
-
-/// Pulls `"key": <value>` out of the flat bench JSON (no JSON
-/// dependency in the workspace; the keys this reads are top-level and
-/// unique, so a string scan suffices).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
-    let cdf = Cdf::new(
-        probes
-            .iter()
-            .filter(|p| p.size == size)
-            .map(|p| p.completion.as_millis_f64()),
-    );
-    (!cdf.is_empty()).then(|| cdf.median())
-}
+const CLI: Cli = Cli {
+    flags: &["--scale", "--seeds", "--threads", "--check", "--out"],
+    scale: "quick",
+    seeds: 1,
+};
 
 /// One arena arm's frontier point: per-size median gains vs the paired
 /// control arm, their mean, and the worst (most harmful) size.
@@ -135,12 +57,7 @@ fn frontier(
     treated: &[ProbeOutcome],
     sizes: &[u64],
 ) -> Frontier {
-    let mut gains = Vec::new();
-    for &size in sizes {
-        if let (Some(c), Some(t)) = (median_ms(control, size), median_ms(treated, size)) {
-            gains.push((c - t) / c * 100.0);
-        }
-    }
+    let gains = median_gains_pct(control, treated, sizes);
     let mean = gains.iter().sum::<f64>() / gains.len().max(1) as f64;
     let worst = gains.iter().map(|g| -g).fold(f64::NEG_INFINITY, f64::max);
     Frontier {
@@ -152,35 +69,27 @@ fn frontier(
 }
 
 fn main() -> ExitCode {
-    let opts = parse();
+    let opts = parse_args_with(&CLI);
     banner(
         "Policy arena",
         "every registered learning policy over the seed-paired probe grid, digest pinned",
     );
-    let plan = RunPlan::policy_ablation(&opts.scale, opts.seeds);
-    eprintln!(
-        "running {} shards at --scale {} on {} thread(s)...",
-        plan.shards.len(),
-        opts.scale_name,
-        opts.threads
-    );
-    let report = plan.run_with_threads(opts.threads);
+    run_gate(|| run(&opts))
+}
+
+fn run(opts: &RunOptions) -> Result<(), String> {
+    let recorded = Baseline::read_if_check(opts, BENCH_FILE)?;
+    let plan = RunPlan::policy_ablation(&opts.scale, opts.seeds as u32);
+    let report = execute_plan(opts, &plan);
     let digest_fnv = format!("{:016x}", report.digest_fnv64());
 
     // The trait seam must cost nothing: the arena's control and
     // default-EWMA arms (scenarios 0 and 1) must reproduce the plain
     // probe comparison outcome for outcome, every run, every mode.
-    let baseline =
-        RunPlan::probe_comparison(&opts.scale, opts.seeds).run_with_threads(opts.threads);
-    assert_eq!(
-        report.merged_probes(0),
-        baseline.merged_probes(0),
-        "arena control arm diverged from probe_comparison"
-    );
-    assert_eq!(
-        report.merged_probes(1),
-        baseline.merged_probes(1),
-        "arena default-EWMA arm diverged from probe_comparison"
+    assert_reproduces_probe_comparison(
+        opts,
+        "arena",
+        &[(0, report.merged_probes(0)), (1, report.merged_probes(1))],
     );
     println!("# ewma arm bit-identical to the probe comparison");
 
@@ -213,37 +122,13 @@ fn main() -> ExitCode {
         frontiers.push(f);
     }
 
-    if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("policy_arena: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "policy_arena: {} was recorded at --scale {want_scale}, \
-                 this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-        if want_digest != digest_fnv {
-            eprintln!(
-                "policy_arena: DIGEST DRIFT — baseline {want_digest}, got {digest_fnv}; \
-                 some policy's observable behaviour changed"
-            );
-            return ExitCode::FAILURE;
-        }
+    if let Some(recorded) = recorded {
+        recorded.expect("digest_fnv", &digest_fnv)?;
         println!(
             "# check: digest ok ({digest_fnv}), {} policy arms",
             frontiers.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let rows: Vec<String> = frontiers
@@ -264,24 +149,18 @@ fn main() -> ExitCode {
         "{{\n  \"benchmark\": \"policy-arena\",\n  \"scale\": \"{}\",\n  \
          \"seeds\": {},\n  \"shards\": {},\n  \
          \"ewma_bit_identical\": true,\n  \"digest_fnv\": \"{}\",\n  \
-         \"probe_sizes\": [{}],\n  \"policies\": [\n{}\n  ]\n}}\n",
+         \"probe_sizes\": {:?},\n  \"policies\": [\n{}\n  ]\n}}\n",
         opts.scale_name,
         opts.seeds,
         plan.shards.len(),
         digest_fnv,
-        sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        sizes,
         rows.join(",\n")
     );
-    std::fs::write(&opts.out, &json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", opts.out.display()));
-    print!("{json}");
+    write_bench_json(opts, BENCH_FILE, &json);
     println!(
         "# frontier recorded for {} policies; digest {digest_fnv}",
         frontiers.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

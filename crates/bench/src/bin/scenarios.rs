@@ -29,111 +29,21 @@
 
 use std::process::ExitCode;
 
-use riptide_bench::banner;
+use riptide_bench::{
+    assert_reproduces_probe_comparison, banner, execute_plan, mean_gain_pct, parse_args_with,
+    run_gate, write_bench_json, Baseline, Cli, RunOptions,
+};
 use riptide_cdn::engine::RunPlan;
-use riptide_cdn::experiment::ExperimentScale;
 use riptide_cdn::scenario::scenario_catalog;
-use riptide_cdn::sim::ProbeOutcome;
-use riptide_cdn::stats::Cdf;
 use riptide_cdn::workload::ProbeConfig;
 
 const BENCH_FILE: &str = "BENCH_scenarios.json";
 
-struct Options {
-    scale_name: String,
-    scale: ExperimentScale,
-    seeds: u32,
-    threads: usize,
-    check: bool,
-    /// The bench file: read in `--check` mode, rewritten otherwise.
-    /// `--out` points smoke runs away from the checked-in baseline.
-    out: std::path::PathBuf,
-}
-
-fn parse() -> Options {
-    let mut opts = Options {
-        scale_name: "test".into(),
-        scale: ExperimentScale::test(),
-        seeds: 2,
-        threads: 1,
-        check: false,
-        out: std::path::PathBuf::from(BENCH_FILE),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = value("--scale");
-                opts.scale = match v.as_str() {
-                    "test" => ExperimentScale::test(),
-                    "quick" => ExperimentScale::quick(),
-                    "paper" => ExperimentScale::paper(),
-                    other => panic!("unknown scale {other:?} (test|quick|paper)"),
-                };
-                opts.scale_name = v;
-            }
-            "--seeds" => {
-                opts.seeds = value("--seeds").parse().expect("--seeds takes a number");
-                assert!(opts.seeds >= 1, "--seeds must be at least 1");
-            }
-            "--threads" => {
-                opts.threads = value("--threads")
-                    .parse()
-                    .expect("--threads takes a number");
-                assert!(opts.threads >= 1, "--threads must be at least 1");
-            }
-            "--check" => opts.check = true,
-            "--out" => opts.out = std::path::PathBuf::from(value("--out")),
-            "--help" | "-h" => {
-                println!(
-                    "usage: scenarios [--scale test|quick|paper] [--seeds N] \
-                     [--threads N] [--check] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other:?}; try --help"),
-        }
-    }
-    opts
-}
-
-/// Pulls `"key": <value>` out of the flat bench JSON (no JSON
-/// dependency in the workspace; the keys this reads are top-level and
-/// unique, so a string scan suffices).
-fn json_field(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find([',', '\n', '}'])
-        .expect("bench JSON values end the line");
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
-    let cdf = Cdf::new(
-        probes
-            .iter()
-            .filter(|p| p.size == size)
-            .map(|p| p.completion.as_millis_f64()),
-    );
-    (!cdf.is_empty()).then(|| cdf.median())
-}
-
-/// Mean per-size median gain (%) of `treated` over `control`.
-fn mean_gain_pct(control: &[ProbeOutcome], treated: &[ProbeOutcome], sizes: &[u64]) -> f64 {
-    let mut gains = Vec::new();
-    for &size in sizes {
-        if let (Some(c), Some(t)) = (median_ms(control, size), median_ms(treated, size)) {
-            gains.push((c - t) / c * 100.0);
-        }
-    }
-    gains.iter().sum::<f64>() / gains.len().max(1) as f64
-}
+const CLI: Cli = Cli {
+    flags: &["--scale", "--seeds", "--threads", "--check", "--out"],
+    scale: "test",
+    seeds: 2,
+};
 
 /// One matrix cell's outcome: each policy arm's mean gain vs the
 /// cell's paired control, and the resulting ranking (best first, ties
@@ -145,34 +55,26 @@ struct CellResult {
 }
 
 fn main() -> ExitCode {
-    let opts = parse();
+    let opts = parse_args_with(&CLI);
     banner(
         "Scenario matrix",
         "every registered policy across RED/ECN, lossy-edge, flash-crowd and paced regimes",
     );
-    let plan = RunPlan::scenario_matrix(&opts.scale, opts.seeds);
-    eprintln!(
-        "running {} shards at --scale {} on {} thread(s)...",
-        plan.shards.len(),
-        opts.scale_name,
-        opts.threads
-    );
-    let report = plan.run_with_threads(opts.threads);
+    run_gate(|| run(&opts))
+}
+
+fn run(opts: &RunOptions) -> Result<(), String> {
+    let recorded = Baseline::read_if_check(opts, BENCH_FILE)?;
+    let plan = RunPlan::scenario_matrix(&opts.scale, opts.seeds as u32);
+    let report = execute_plan(opts, &plan);
     let digest_fnv = format!("{:016x}", report.digest_fnv64());
 
     // Claim 1: with every scenario knob off, the matrix's baseline cell
     // is the plain probe comparison, outcome for outcome.
-    let baseline =
-        RunPlan::probe_comparison(&opts.scale, opts.seeds).run_with_threads(opts.threads);
-    assert_eq!(
-        report.merged_probes(0),
-        baseline.merged_probes(0),
-        "baseline-cell control arm diverged from probe_comparison"
-    );
-    assert_eq!(
-        report.merged_probes(1),
-        baseline.merged_probes(1),
-        "baseline-cell default-EWMA arm diverged from probe_comparison"
+    assert_reproduces_probe_comparison(
+        opts,
+        "baseline cell",
+        &[(0, report.merged_probes(0)), (1, report.merged_probes(1))],
     );
     println!("# baseline cell bit-identical to the probe comparison");
 
@@ -257,48 +159,14 @@ fn main() -> ExitCode {
     );
     println!("# lossy-edge: loss-utility {lu:.1}% > ewma {ewma:.1}%");
 
-    if opts.check {
-        let text = match std::fs::read_to_string(&opts.out) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("scenarios: cannot read {}: {e}", opts.out.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let want_scale = json_field(&text, "scale").unwrap_or_default();
-        if want_scale != opts.scale_name {
-            eprintln!(
-                "scenarios: {} was recorded at --scale {want_scale}, \
-                 this run used --scale {}",
-                opts.out.display(),
-                opts.scale_name
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_seeds = json_field(&text, "seeds").unwrap_or_default();
-        if want_seeds != opts.seeds.to_string() {
-            eprintln!(
-                "scenarios: {} was recorded with --seeds {want_seeds}, \
-                 this run used --seeds {}",
-                opts.out.display(),
-                opts.seeds
-            );
-            return ExitCode::FAILURE;
-        }
-        let want_digest = json_field(&text, "digest_fnv").unwrap_or_default();
-        if want_digest != digest_fnv {
-            eprintln!(
-                "scenarios: DIGEST DRIFT — baseline {want_digest}, got {digest_fnv}; \
-                 some scenario's observable behaviour changed"
-            );
-            return ExitCode::FAILURE;
-        }
+    if let Some(recorded) = recorded {
+        recorded.expect("digest_fnv", &digest_fnv)?;
         println!(
             "# check: digest ok ({digest_fnv}), {} cells, {} divergent",
             cells.len(),
             divergent.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let rows: Vec<String> = cells
@@ -324,25 +192,19 @@ fn main() -> ExitCode {
          \"baseline_bit_identical\": true,\n  \"digest_fnv\": \"{}\",\n  \
          \"ranking_divergent_cells\": {},\n  \
          \"lossy_edge_loss_utility_beats_ewma\": true,\n  \
-         \"probe_sizes\": [{}],\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+         \"probe_sizes\": {:?},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         opts.scale_name,
         opts.seeds,
         plan.shards.len(),
         digest_fnv,
         divergent.len(),
-        sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        sizes,
         rows.join(",\n")
     );
-    std::fs::write(&opts.out, &json)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", opts.out.display()));
-    print!("{json}");
+    write_bench_json(opts, BENCH_FILE, &json);
     println!(
         "# scenario matrix recorded for {} cells; digest {digest_fnv}",
         cells.len()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -80,7 +80,6 @@ fn main() {
         merged.len()
     );
     write_bench_json(&opts, "BENCH_telemetry.json", &json);
-    print!("{json}");
     println!(
         "# {} shards: thread-invariant metrics, zero-overhead digests, \
          {route_updates} route updates across {ticks} agent ticks",

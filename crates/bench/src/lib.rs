@@ -1,19 +1,26 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! Shared plumbing for the figure/table regeneration binaries and the
+//! CI gate binaries.
 //!
-//! Every binary accepts the same arguments:
+//! Every binary parses its command line through [`parse_args_with`]
+//! (figures through [`parse_args`]). A binary passes a [`Cli`]: the
+//! subset of these flags it reads, plus its own defaults.
 //!
 //! ```text
-//! --scale test|quick|paper   run size (default: quick)
+//! --scale test|quick|paper   run size
 //! --seed N                   RNG seed override
 //! --points N                 CDF resolution when printing series
 //! --seeds N                  pool N independent replications
 //! --threads N                worker threads (default: RIPTIDE_THREADS
 //!                            or all cores)
 //! --manifest PATH            write the JSON-lines run manifest here
+//! --check                    compare against the checked-in
+//!                            BENCH_*.json baseline instead of
+//!                            rewriting it (gate binaries)
 //! --out PATH                 write the BENCH_*.json summary here
 //!                            instead of the checked-in default (CI
 //!                            smoke runs point this at a scratch dir
-//!                            so baselines stay clean)
+//!                            so baselines stay clean); under --check,
+//!                            the baseline to compare against
 //! ```
 //!
 //! Simulation-backed binaries run through the parallel experiment
@@ -26,13 +33,45 @@
 
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+use std::process::ExitCode;
+
 use riptide_cdn::engine::{self, RunPlan, RunReport};
 use riptide_cdn::experiment::ExperimentScale;
+use riptide_cdn::sim::ProbeOutcome;
 use riptide_cdn::stats::{Cdf, PercentileGain};
 
-/// Command-line options shared by all figure binaries.
+/// A binary's command line: the flags it reads and its defaults.
+#[derive(Debug, Clone, Copy)]
+pub struct Cli {
+    /// The flags the binary accepts, in `--help` order.
+    pub flags: &'static [&'static str],
+    /// Default `--scale`: `test`, `quick` or `paper`.
+    pub scale: &'static str,
+    /// Default `--seeds`.
+    pub seeds: usize,
+}
+
+/// The figure and table binaries' command line.
+pub const FIGURE: Cli = Cli {
+    flags: &[
+        "--scale",
+        "--seed",
+        "--points",
+        "--seeds",
+        "--threads",
+        "--manifest",
+        "--out",
+    ],
+    scale: "quick",
+    seeds: 1,
+};
+
+/// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
+    /// The `--scale` name the run used (`test`, `quick` or `paper`).
+    pub scale_name: String,
     /// The experiment scale.
     pub scale: ExperimentScale,
     /// Points per printed CDF series.
@@ -43,94 +82,285 @@ pub struct RunOptions {
     /// machine's core count.
     pub threads: Option<usize>,
     /// Where to write the JSON-lines run manifest, if anywhere.
-    pub manifest: Option<std::path::PathBuf>,
+    pub manifest: Option<PathBuf>,
     /// Override for the binary's `BENCH_*.json` output path; `None`
     /// keeps the checked-in default next to the workspace root.
-    pub out: Option<std::path::PathBuf>,
+    pub out: Option<PathBuf>,
+    /// `--check`: compare against the baseline instead of rewriting it.
+    pub check: bool,
 }
 
-/// Parses `std::env::args` into [`RunOptions`].
+impl RunOptions {
+    /// The options a run gets when no flag is given.
+    fn defaults(cli: &Cli) -> RunOptions {
+        RunOptions {
+            scale_name: cli.scale.to_string(),
+            scale: scale_named(cli.scale),
+            points: 20,
+            seeds: cli.seeds,
+            threads: None,
+            manifest: None,
+            out: None,
+            check: false,
+        }
+    }
+}
+
+fn scale_named(name: &str) -> ExperimentScale {
+    match name {
+        "test" => ExperimentScale::test(),
+        "quick" => ExperimentScale::quick(),
+        "paper" => ExperimentScale::paper(),
+        other => panic!("unknown scale {other:?} (test|quick|paper)"),
+    }
+}
+
+/// The running binary's name, for `--help` and gate failure messages.
+fn program_name() -> String {
+    std::env::args()
+        .next()
+        .as_deref()
+        .map(std::path::Path::new)
+        .and_then(|p| p.file_stem())
+        .map_or_else(|| "bench".into(), |s| s.to_string_lossy().into_owned())
+}
+
+/// The `--help` line for `cli`'s flags.
+fn usage(cli: &Cli) -> String {
+    let mut line = format!("usage: {}", program_name());
+    for flag in cli.flags {
+        let operand = match *flag {
+            "--scale" => " test|quick|paper",
+            "--check" => "",
+            "--manifest" | "--out" => " PATH",
+            _ => " N",
+        };
+        line.push_str(&format!(" [{flag}{operand}]"));
+    }
+    line
+}
+
+/// Parses `std::env::args` with the figure binaries' [`FIGURE`] command
+/// line.
+///
+/// # Panics
+///
+/// As [`parse_args_with`].
+pub fn parse_args() -> RunOptions {
+    parse_args_with(&FIGURE)
+}
+
+/// Parses `std::env::args` into [`RunOptions`], accepting only `cli`'s
+/// flags and starting from its defaults.
 ///
 /// # Panics
 ///
 /// Panics with a usage message on unknown flags or malformed values —
 /// appropriate for a CLI entry point.
-pub fn parse_args() -> RunOptions {
-    let mut scale = ExperimentScale::quick();
-    let mut points = 20usize;
-    let mut seeds = 1usize;
-    let mut threads = None;
-    let mut manifest = None;
-    let mut out = None;
+pub fn parse_args_with(cli: &Cli) -> RunOptions {
+    let mut opts = RunOptions::defaults(cli);
+    let mut seed = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        if arg == "--help" || arg == "-h" {
+            println!("{}", usage(cli));
+            std::process::exit(0);
+        }
+        if !cli.flags.contains(&arg.as_str()) {
+            panic!("unknown argument {arg:?}; try --help");
+        }
+        let mut value = || {
             args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| panic!("{arg} requires a value"))
         };
         match arg.as_str() {
             "--scale" => {
-                scale = match value("--scale").as_str() {
-                    "test" => ExperimentScale::test(),
-                    "quick" => ExperimentScale::quick(),
-                    "paper" => ExperimentScale::paper(),
-                    other => panic!("unknown scale {other:?} (test|quick|paper)"),
-                };
+                let name = value();
+                opts.scale = scale_named(&name);
+                opts.scale_name = name;
             }
-            "--seed" => {
-                scale.seed = value("--seed").parse().expect("--seed takes a number");
-            }
-            "--points" => {
-                points = value("--points").parse().expect("--points takes a number");
-            }
+            "--seed" => seed = Some(value().parse().expect("--seed takes a number")),
+            "--points" => opts.points = value().parse().expect("--points takes a number"),
             "--seeds" => {
-                seeds = value("--seeds")
-                    .parse()
-                    .expect("--seeds takes a positive number");
-                assert!(seeds >= 1, "--seeds must be at least 1");
+                // Parsed as u32, the width the plans take, so no cast truncates it.
+                let seeds: u32 = value().parse().expect("--seeds takes a positive number");
+                opts.seeds = seeds as usize;
+                assert!(opts.seeds >= 1, "--seeds must be at least 1");
             }
             "--threads" => {
-                let n: usize = value("--threads")
-                    .parse()
-                    .expect("--threads takes a positive number");
+                let n: usize = value().parse().expect("--threads takes a positive number");
                 assert!(n >= 1, "--threads must be at least 1");
-                threads = Some(n);
+                opts.threads = Some(n);
             }
-            "--manifest" => {
-                manifest = Some(std::path::PathBuf::from(value("--manifest")));
-            }
-            "--out" => {
-                out = Some(std::path::PathBuf::from(value("--out")));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: [--scale test|quick|paper] [--seed N] [--points N] [--seeds N] \
-                     [--threads N] [--manifest PATH] [--out PATH]"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown argument {other:?}; try --help"),
+            "--manifest" => opts.manifest = Some(PathBuf::from(value())),
+            "--out" => opts.out = Some(PathBuf::from(value())),
+            "--check" => opts.check = true,
+            other => unreachable!("Cli lists {other:?} but the parser has no case for it"),
         }
     }
-    RunOptions {
-        scale,
-        points,
-        seeds,
-        threads,
-        manifest,
-        out,
+    if let Some(seed) = seed {
+        opts.scale.seed = seed;
+    }
+    opts
+}
+
+/// Pulls `"key": <value>` out of a flat bench JSON file: the first
+/// occurrence, with surrounding quotes stripped. A string scan
+/// suffices because the keys read this way are top-level scalars, one
+/// per line, above any nested rows (the workspace has no JSON
+/// dependency).
+pub fn json_field(text: &str, key: &str) -> Option<String> {
+    let needle = format!("\"{key}\":");
+    let start = text.find(&needle)? + needle.len();
+    let rest = text[start..].trim_start();
+    let end = rest
+        .find([',', '\n', '}'])
+        .expect("bench JSON values end the line");
+    Some(rest[..end].trim().trim_matches('"').to_string())
+}
+
+/// A gate's checked-in `BENCH_*.json` baseline, read for `--check`.
+#[derive(Debug)]
+pub struct Baseline {
+    path: PathBuf,
+    text: String,
+}
+
+impl Baseline {
+    /// Under `--check`, reads the baseline to compare against — the
+    /// `--out` path when given, else `default` — and checks that it
+    /// was recorded with this run's parameters; `None` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// When the file cannot be read, or when a run-parameter key it
+    /// records (`scale`, `seeds`) differs from `opts`; the message
+    /// names the key and both values.
+    pub fn read_if_check(opts: &RunOptions, default: &str) -> Result<Option<Baseline>, String> {
+        if !opts.check {
+            return Ok(None);
+        }
+        let path = out_file(opts, default);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Baseline::parse(path, text, opts).map(Some)
+    }
+
+    fn parse(path: PathBuf, text: String, opts: &RunOptions) -> Result<Baseline, String> {
+        let baseline = Baseline { path, text };
+        for (key, measured) in [
+            ("scale", opts.scale_name.clone()),
+            ("seeds", opts.seeds.to_string()),
+        ] {
+            if baseline.field(key).is_some() {
+                baseline.expect(key, &measured)?;
+            }
+        }
+        Ok(baseline)
+    }
+
+    /// The value the baseline records under `key`, if any.
+    pub fn field(&self, key: &str) -> Option<String> {
+        json_field(&self.text, key)
+    }
+
+    /// Checks that the baseline records `measured` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// When the recorded value differs or is missing; the message names
+    /// the key, the recorded value and the measured one.
+    pub fn expect(&self, key: &str, measured: &str) -> Result<(), String> {
+        let recorded = self.field(key).unwrap_or_else(|| "<missing>".into());
+        if recorded == measured {
+            return Ok(());
+        }
+        Err(format!(
+            "{}: {key} differs: baseline records {recorded}, this run measured {measured}",
+            self.path.display()
+        ))
+    }
+}
+
+/// Runs a gate's body and turns its outcome into the exit code: a
+/// failure prints `<binary>: <why>` and exits nonzero.
+pub fn run_gate(body: impl FnOnce() -> Result<(), String>) -> ExitCode {
+    match body() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(why) => {
+            eprintln!("{}: {why}", program_name());
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Median completion time in ms of the `size`-byte probes, or `None`
+/// when there are none.
+pub fn median_ms(probes: &[ProbeOutcome], size: u64) -> Option<f64> {
+    let cdf = Cdf::new(
+        probes
+            .iter()
+            .filter(|p| p.size == size)
+            .map(|p| p.completion.as_millis_f64()),
+    );
+    (!cdf.is_empty()).then(|| cdf.median())
+}
+
+/// Per-size median gain in percent of `treated` over `control`, for
+/// every size both arms probed.
+pub fn median_gains_pct(
+    control: &[ProbeOutcome],
+    treated: &[ProbeOutcome],
+    sizes: &[u64],
+) -> Vec<f64> {
+    sizes
+        .iter()
+        .filter_map(
+            |&size| match (median_ms(control, size), median_ms(treated, size)) {
+                (Some(c), Some(t)) => Some((c - t) / c * 100.0),
+                _ => None,
+            },
+        )
+        .collect()
+}
+
+/// Mean of [`median_gains_pct`]; 0 when no size was probed by both arms.
+pub fn mean_gain_pct(control: &[ProbeOutcome], treated: &[ProbeOutcome], sizes: &[u64]) -> f64 {
+    let gains = median_gains_pct(control, treated, sizes);
+    gains.iter().sum::<f64>() / gains.len().max(1) as f64
+}
+
+/// Asserts that a plan's knob-off arms reproduce the plain probe
+/// comparison outcome for outcome. Each entry pairs a probe-comparison
+/// arm (0 control, 1 Riptide) with the plan's merged outcomes for it.
+///
+/// # Panics
+///
+/// Panics naming `what` and the arm on the first divergence.
+pub fn assert_reproduces_probe_comparison(
+    opts: &RunOptions,
+    what: &str,
+    arms: &[(u32, Vec<ProbeOutcome>)],
+) {
+    let plan = RunPlan::probe_comparison(&opts.scale, opts.seeds as u32);
+    let reference = execute_plan(opts, &plan);
+    for (arm, outcomes) in arms {
+        assert!(
+            *outcomes == reference.merged_probes(*arm),
+            "{what}: the {} arm diverged from the probe comparison",
+            ["control", "riptide"][*arm as usize]
+        );
     }
 }
 
 /// The `BENCH_*.json` path a binary should write: the `--out` override
 /// when given, else `default` (the checked-in baseline location).
-pub fn out_file(opts: &RunOptions, default: &str) -> std::path::PathBuf {
-    opts.out
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from(default))
+pub fn out_file(opts: &RunOptions, default: &str) -> PathBuf {
+    opts.out.clone().unwrap_or_else(|| PathBuf::from(default))
 }
 
-/// Writes a bench summary to [`out_file`]'s resolution of the path.
+/// Writes a bench summary to [`out_file`]'s resolution of the path,
+/// and echoes it to stdout.
 ///
 /// # Panics
 ///
@@ -138,6 +368,7 @@ pub fn out_file(opts: &RunOptions, default: &str) -> std::path::PathBuf {
 pub fn write_bench_json(opts: &RunOptions, default: &str, json: &str) {
     let path = out_file(opts, default);
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    print!("{json}");
 }
 
 /// The worker-pool size these options resolve to.
@@ -335,5 +566,98 @@ mod tests {
     #[should_panic(expected = "bad sweep bounds")]
     fn log_spacing_rejects_degenerate() {
         let _ = log_spaced_sizes(10, 10, 5);
+    }
+
+    /// Every `BENCH_*.json` key a gate's `--check` or record mode reads.
+    const GATE_KEYS: [(&str, &[&str]); 5] = [
+        (
+            "BENCH_simperf.json",
+            &[
+                "scale",
+                "seeds",
+                "digest_fnv",
+                "events_per_sec",
+                "seed_wall_ms",
+                "seed_events_per_sec",
+            ],
+        ),
+        ("BENCH_coldstart.json", &["scale", "seeds", "digest_fnv"]),
+        (
+            "BENCH_megacdn.json",
+            &["scale", "lookup_digest", "roundtrip_digest"],
+        ),
+        ("BENCH_policyarena.json", &["scale", "seeds", "digest_fnv"]),
+        ("BENCH_scenarios.json", &["scale", "seeds", "digest_fnv"]),
+    ];
+
+    fn checked_in(file: &str) -> String {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+    }
+
+    fn options(scale: &'static str, seeds: usize) -> RunOptions {
+        RunOptions::defaults(&Cli {
+            flags: &[],
+            scale,
+            seeds,
+        })
+    }
+
+    #[test]
+    fn every_gate_key_parses_from_its_checked_in_baseline() {
+        for (file, keys) in GATE_KEYS {
+            let text = checked_in(file);
+            for key in keys {
+                let value =
+                    json_field(&text, key).unwrap_or_else(|| panic!("{file} records no {key}"));
+                let ok = match *key {
+                    "scale" => ["test", "quick", "paper"].contains(&value.as_str()),
+                    "seeds" => value.parse::<usize>().is_ok_and(|n| n >= 1),
+                    k if k.ends_with("digest") || k.ends_with("_fnv") => {
+                        value.len() == 16 && u64::from_str_radix(&value, 16).is_ok()
+                    }
+                    _ => value.parse::<f64>().is_ok_and(|v| v > 0.0),
+                };
+                assert!(ok, "{file}: {key} = {value:?} does not parse");
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_baseline_names_the_key_and_both_values() {
+        let text = checked_in("BENCH_coldstart.json");
+        let opts = options("test", 2);
+        let path = PathBuf::from("BENCH_coldstart.json");
+        let digest = json_field(&text, "digest_fnv").unwrap();
+
+        let ok = Baseline::parse(path.clone(), text.clone(), &opts).unwrap();
+        ok.expect("digest_fnv", &digest).unwrap();
+
+        let flipped = format!(
+            "{}{}",
+            if digest.starts_with('0') { '1' } else { '0' },
+            &digest[1..]
+        );
+        let drifted =
+            Baseline::parse(path.clone(), text.replace(&digest, &flipped), &opts).unwrap();
+        let why = drifted.expect("digest_fnv", &digest).unwrap_err();
+        for part in ["digest_fnv", flipped.as_str(), digest.as_str()] {
+            assert!(why.contains(part), "{why:?} lacks {part:?}");
+        }
+        let bare = Baseline::parse(path.clone(), "{}".into(), &opts).unwrap();
+        let why = bare.expect("digest_fnv", &digest).unwrap_err();
+        assert!(why.contains("baseline records <missing>"), "{why}");
+
+        for (key, recorded, measured, opts) in [
+            ("scale", "test", "quick", options("quick", 2)),
+            ("seeds", "2", "3", options("test", 3)),
+        ] {
+            let why = Baseline::parse(path.clone(), text.clone(), &opts).unwrap_err();
+            for part in [key, recorded, measured] {
+                assert!(why.contains(part), "{why:?} lacks {part:?}");
+            }
+        }
     }
 }

@@ -9,6 +9,9 @@
 //! timers included), so any restructuring of the event queue, the
 //! sender's bookkeeping, or the engine's digest rendering that changes
 //! behaviour in *any* observable way shows up here as a byte diff.
+//! The last plan, `coldstart_sweep`, was appended later: its lines
+//! were blessed from an unchanged simulator, and every earlier line
+//! stayed byte-identical.
 //!
 //! To re-bless after an intentional behaviour change:
 //!
@@ -32,7 +35,7 @@ fn small_scale() -> ExperimentScale {
 }
 
 /// Every plan family the engine knows, at a fixed small scale: the
-/// concatenated digests fingerprint all six [`ShardWork`] variants,
+/// concatenated digests fingerprint all eight [`ShardWork`] variants,
 /// the telemetry `metrics=` token path, and one arm per registered
 /// learning policy (the policy-ablation arena).
 ///
@@ -49,6 +52,7 @@ fn all_plan_digests() -> String {
         RunPlan::convergence(&scale, SimDuration::from_secs(120)),
         RunPlan::policy_ablation(&scale, 1),
         RunPlan::scenario_matrix(&scale, 1),
+        RunPlan::coldstart_sweep(&scale, &[0.0, 0.05], 1),
     ];
     let mut out = String::new();
     for plan in &plans {

@@ -42,15 +42,25 @@ fn probe_plan_is_thread_count_invariant() {
 
 #[test]
 fn cwnd_plan_is_thread_count_invariant_and_merge_order_is_plan_order() {
-    let plan = RunPlan::cwnd_sweep(&small_scale(), &[None, Some(100)], 2);
-    let serial = plan.run_with_threads(1);
-    let parallel = plan.run_with_threads(4);
-    assert_eq!(serial.digest(), parallel.digest());
-    for scenario in 0..2 {
-        let a = serial.merged_cwnd(scenario);
-        let b = parallel.merged_cwnd(scenario);
-        assert_eq!(a, b, "merged CDFs identical for scenario {scenario}");
-        assert!(!a.is_empty());
+    // A two-arm sweep on 4 workers, and the six-arm Fig. 10 c_max sweep
+    // (12 shards) on 8.
+    let fig10 = [None, Some(50), Some(100), Some(150), Some(200), Some(250)];
+    for (sweep, threads) in [(&[None, Some(100)][..], 4), (&fig10[..], 8)] {
+        let plan = RunPlan::cwnd_sweep(&small_scale(), sweep, 2);
+        let serial = plan.run_with_threads(1);
+        let parallel = plan.run_with_threads(threads);
+        assert_eq!(
+            serial.digest(),
+            parallel.digest(),
+            "{} arms: threads=1 and threads={threads} diverged",
+            sweep.len()
+        );
+        for scenario in 0..sweep.len() as u32 {
+            let a = serial.merged_cwnd(scenario);
+            let b = parallel.merged_cwnd(scenario);
+            assert_eq!(a, b, "merged CDFs identical for scenario {scenario}");
+            assert!(!a.is_empty());
+        }
     }
 }
 
