@@ -99,16 +99,26 @@ fn bench_parallel_engine(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
-    use riptide_simnet::event::EventQueue;
-    use riptide_simnet::time::SimTime;
+    use riptide_simnet::event::{EventQueue, Fired};
+    use riptide_simnet::time::{SimDuration, SimTime};
+    // The probe workload's shape: packets on a few busy paths, each lane
+    // FIFO, plus an RTO / delayed-ACK timer stream landing anywhere ahead
+    // (about three events in ten).
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
+            let mut q: EventQueue<u64, u64> = EventQueue::new();
+            let mut lane_at = [SimTime::ZERO; 7];
             for i in 0..1_000u64 {
-                q.schedule(SimTime::from_nanos(i * 7919 % 1_000_000), i);
+                if i % 10 < 3 {
+                    q.schedule_timer(SimTime::from_nanos(i * 7919 % 1_000_000), i);
+                } else {
+                    let lane = (i % 7) as usize;
+                    lane_at[lane] += SimDuration::from_nanos(i * 104_729 % 20_000);
+                    q.schedule_lane(lane, lane_at[lane], i);
+                }
             }
             let mut sum = 0u64;
-            while let Some((_, e)) = q.pop() {
+            while let Some((_, Fired::Packet(e) | Fired::Timer(e))) = q.pop() {
                 sum = sum.wrapping_add(e);
             }
             black_box(sum)

@@ -265,12 +265,8 @@ pub enum Admission {
         /// Whether the AQM set the ECN Congestion Experienced mark.
         ecn: bool,
     },
-    /// Dropped by random loss.
-    LostRandom,
-    /// Dropped because the queue was full.
-    LostOverflow,
-    /// Dropped early by the AQM.
-    LostAqm,
+    /// The packet was dropped.
+    Lost(LossCause),
 }
 
 /// Counters a path accumulates over its lifetime.
@@ -390,6 +386,16 @@ impl Path {
         }
     }
 
+    /// A fresh path on `config` (empty queue, zeroed counters) that
+    /// keeps this path's FIFO clamp: it never delivers before a packet
+    /// this path has already admitted.
+    pub(crate) fn successor(&self, config: PathConfig, rng: DetRng) -> Path {
+        Path {
+            last_arrival: self.last_arrival,
+            ..Path::new(config, rng)
+        }
+    }
+
     /// The static configuration.
     pub fn config(&self) -> &PathConfig {
         &self.config
@@ -484,17 +490,17 @@ impl Path {
                     mark = true;
                 } else {
                     self.stats.lost_aqm += 1;
-                    return Admission::LostAqm;
+                    return Admission::Lost(LossCause::Aqm);
                 }
             }
         }
         if backlog_bytes + wire_bytes as u64 > self.config.queue_bytes {
             self.stats.lost_overflow += 1;
-            return Admission::LostOverflow;
+            return Admission::Lost(LossCause::Overflow);
         }
         if self.rng.chance(self.config.loss) {
             self.stats.lost_random += 1;
-            return Admission::LostRandom;
+            return Admission::Lost(LossCause::Random);
         }
         let start = self.busy_until.max(now);
         if self.ser_memo.0 != wire_bytes {
@@ -602,7 +608,7 @@ mod tests {
         for _ in 0..10 {
             match p.admit(SimTime::ZERO, 1000) {
                 Admission::Deliver { .. } => delivered += 1,
-                Admission::LostOverflow => overflowed += 1,
+                Admission::Lost(LossCause::Overflow) => overflowed += 1,
                 other => panic!("unexpected admission {other:?}"),
             }
         }
@@ -628,7 +634,7 @@ mod tests {
         }
         assert!(matches!(
             p.admit(SimTime::ZERO, 1000),
-            Admission::LostOverflow
+            Admission::Lost(LossCause::Overflow)
         ));
         // After the backlog serializes, admission succeeds again.
         let later = SimTime::from_millis(5);
@@ -667,7 +673,10 @@ mod tests {
         // A third is over capacity by exactly one byte's worth and must
         // be dropped, not admitted by a rounding wobble.
         let now = SimTime::ZERO + SimDuration::from_nanos(2);
-        assert!(matches!(p.admit(now, 1000), Admission::LostOverflow));
+        assert!(matches!(
+            p.admit(now, 1000),
+            Admission::Lost(LossCause::Overflow)
+        ));
     }
 
     #[test]
@@ -734,7 +743,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..n {
             now += SimDuration::from_micros(10);
-            if matches!(p.admit(now, 1500), Admission::LostRandom) {
+            if matches!(p.admit(now, 1500), Admission::Lost(LossCause::Random)) {
                 lost += 1;
             }
         }
@@ -881,8 +890,8 @@ mod tests {
         for _ in 0..4_000 {
             now += SimDuration::from_micros(100); // drain 100 B/packet slot
             match p.admit(now, 1000) {
-                Admission::LostAqm => aqm_drops += 1,
-                Admission::LostOverflow => overflow += 1,
+                Admission::Lost(LossCause::Aqm) => aqm_drops += 1,
+                Admission::Lost(LossCause::Overflow) => overflow += 1,
                 _ => {}
             }
         }
@@ -931,7 +940,10 @@ mod tests {
         let mut drops = 0;
         for _ in 0..4_000 {
             now += SimDuration::from_micros(100);
-            if matches!(p.admit_ect(now, 1000, false), Admission::LostAqm) {
+            if matches!(
+                p.admit_ect(now, 1000, false),
+                Admission::Lost(LossCause::Aqm)
+            ) {
                 drops += 1;
             }
         }

@@ -6,6 +6,7 @@
 //! in order. Traces are the ground truth behind the TCP behaviour tests
 //! and invaluable when a workload behaves unexpectedly.
 
+use crate::link::LossCause;
 use crate::packet::SegIndex;
 use crate::time::SimTime;
 
@@ -32,8 +33,8 @@ pub enum TraceEvent {
         at: SimTime,
         /// Stream position.
         seq: SegIndex,
-        /// `true` = queue overflow, `false` = random loss.
-        overflow: bool,
+        /// Why the path dropped it.
+        cause: LossCause,
     },
     /// A data segment reached the receiver.
     SegmentDelivered {
@@ -136,12 +137,12 @@ impl ConnTrace {
                     "{at} SEND seq={seq}{}",
                     if retransmit { " (retransmit)" } else { "" }
                 ),
-                TraceEvent::SegmentDropped { at, seq, overflow } => format!(
+                TraceEvent::SegmentDropped { at, seq, cause } => format!(
                     "{at} DROP seq={seq} ({})",
-                    if overflow {
-                        "queue overflow"
-                    } else {
-                        "random loss"
+                    match cause {
+                        LossCause::Random => "random loss",
+                        LossCause::Overflow => "queue overflow",
+                        LossCause::Aqm => "AQM early drop",
                     }
                 ),
                 TraceEvent::SegmentDelivered { at, seq } => {
@@ -183,7 +184,7 @@ mod tests {
         t.push(TraceEvent::SegmentDropped {
             at: SimTime::from_millis(51),
             seq: 1,
-            overflow: false,
+            cause: LossCause::Random,
         });
         t.push(TraceEvent::SegmentSent {
             at: SimTime::from_millis(200),

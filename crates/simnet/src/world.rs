@@ -42,7 +42,7 @@ use std::rc::Rc;
 
 use crate::config::TcpConfig;
 use crate::conn::{ActiveTransfer, ConnState, Connection, PendingTransfer};
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Fired};
 use crate::ids::{ConnId, HostId, PathId, PopId, TransferId};
 use crate::link::{Admission, Path, PathConfig, PathStats};
 use crate::packet::{Ack, Control, Segment};
@@ -85,11 +85,17 @@ struct Pop {
     hosts: Vec<HostId>,
 }
 
+/// A packet in flight; it rides the event-queue lane of the path that
+/// admitted it.
 #[derive(Debug)]
-enum Event {
+enum Packet {
     Segment(Segment),
-    AckPkt(Ack),
+    Ack(Ack),
     Ctl(Control),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Timer {
     Rto { conn: ConnId, epoch: u64 },
     DelAck { conn: ConnId, epoch: u64 },
 }
@@ -100,7 +106,7 @@ pub struct World {
     cfg: TcpConfig,
     rng: DetRng,
     now: SimTime,
-    queue: EventQueue<Event>,
+    queue: EventQueue<Packet, Timer>,
     pops: Vec<Pop>,
     hosts: Vec<Host>,
     conns: Vec<Connection>,
@@ -257,11 +263,18 @@ impl World {
     }
 
     /// Installs (or replaces) the unidirectional path `src → dst`.
+    ///
+    /// A replacement starts with an empty queue and fresh counters, but
+    /// still never delivers before a packet the old path already has in
+    /// flight.
     pub fn set_path(&mut self, src: PopId, dst: PopId, config: PathConfig) {
         let stream = (src.index() as u64) << 20 | dst.index() as u64;
         let rng = self.rng.fork(0x7061_7468 ^ stream);
         match self.path_index.get(&(src, dst)) {
-            Some(&pid) => self.paths[pid.index()] = Path::new(config, rng),
+            Some(&pid) => {
+                let old = &mut self.paths[pid.index()];
+                *old = old.successor(config, rng);
+            }
             None => {
                 let pid = PathId::from_index(self.paths.len() as u32);
                 self.paths.push(Path::new(config, rng));
@@ -373,8 +386,11 @@ impl World {
         // SYN travels to the peer; SYN-ACK comes back (handshake packets
         // are delay-only and lossless, see crate docs).
         if let Some(arrival) = self.paths[fwd_path.index()].admit_control(self.now, false) {
-            self.queue
-                .schedule(arrival, Event::Ctl(Control::Syn { conn: id }));
+            self.queue.schedule_lane(
+                fwd_path.index(),
+                arrival,
+                Packet::Ctl(Control::Syn { conn: id }),
+            );
         }
         id
     }
@@ -628,14 +644,14 @@ impl World {
         self.queue.len()
     }
 
-    fn dispatch(&mut self, ev: Event) {
+    fn dispatch(&mut self, ev: Fired<Packet, Timer>) {
         self.stats.events_processed += 1;
         match ev {
-            Event::Segment(seg) => self.on_segment(seg),
-            Event::AckPkt(ack) => self.on_ack(ack),
-            Event::Ctl(ctl) => self.on_control(ctl),
-            Event::Rto { conn, epoch } => self.on_rto(conn, epoch),
-            Event::DelAck { conn, epoch } => self.on_delack(conn, epoch),
+            Fired::Packet(Packet::Segment(seg)) => self.on_segment(seg),
+            Fired::Packet(Packet::Ack(ack)) => self.on_ack(ack),
+            Fired::Packet(Packet::Ctl(ctl)) => self.on_control(ctl),
+            Fired::Timer(Timer::Rto { conn, epoch }) => self.on_rto(conn, epoch),
+            Fired::Timer(Timer::DelAck { conn, epoch }) => self.on_delack(conn, epoch),
         }
     }
 
@@ -659,9 +675,9 @@ impl World {
                 self.send_ack_back(seg.conn, ack);
             }
             crate::tcp::receiver::AckDecision::Deferred { epoch } => {
-                self.queue.schedule(
+                self.queue.schedule_timer(
                     self.now + self.cfg.delayed_ack_timeout,
-                    Event::DelAck {
+                    Timer::DelAck {
                         conn: seg.conn,
                         epoch,
                     },
@@ -683,7 +699,8 @@ impl World {
     fn send_ack_back(&mut self, conn: ConnId, ack: Ack) {
         let pid = self.conns[conn.index()].rev_path;
         if let Some(arrival) = self.paths[pid.index()].admit_control(self.now, false) {
-            self.queue.schedule(arrival, Event::AckPkt(ack));
+            self.queue
+                .schedule_lane(pid.index(), arrival, Packet::Ack(ack));
         }
     }
 
@@ -717,8 +734,11 @@ impl World {
                 }
                 let pid = self.conns[conn.index()].rev_path;
                 if let Some(arrival) = self.paths[pid.index()].admit_control(self.now, false) {
-                    self.queue
-                        .schedule(arrival, Event::Ctl(Control::SynAck { conn }));
+                    self.queue.schedule_lane(
+                        pid.index(),
+                        arrival,
+                        Packet::Ctl(Control::SynAck { conn }),
+                    );
                 }
             }
             Control::SynAck { conn } => {
@@ -783,9 +803,10 @@ impl World {
                 }
                 match path.admit_ect(self.now, wire_bytes, ecn_capable) {
                     Admission::Deliver { arrival, ecn } => {
-                        self.queue.schedule(
+                        self.queue.schedule_lane(
+                            pid.index(),
                             arrival,
-                            Event::Segment(Segment {
+                            Packet::Segment(Segment {
                                 conn,
                                 seq: out.seq,
                                 wire_bytes,
@@ -794,22 +815,13 @@ impl World {
                             }),
                         );
                     }
-                    Admission::LostRandom => {
-                        // Dropped; the sender recovers via dup-acks or RTO.
+                    // Dropped; the sender recovers via dup-acks or RTO.
+                    Admission::Lost(cause) => {
                         if tracing {
                             trace_events.push(TraceEvent::SegmentDropped {
                                 at: self.now,
                                 seq: out.seq,
-                                overflow: false,
-                            });
-                        }
-                    }
-                    Admission::LostOverflow | Admission::LostAqm => {
-                        if tracing {
-                            trace_events.push(TraceEvent::SegmentDropped {
-                                at: self.now,
-                                seq: out.seq,
-                                overflow: true,
+                                cause,
                             });
                         }
                     }
@@ -822,9 +834,9 @@ impl World {
         outbox.clear();
         self.outbox_scratch = outbox;
         if let Some(req) = self.conns[conn.index()].sender.take_timer_request() {
-            self.queue.schedule(
+            self.queue.schedule_timer(
                 req.deadline,
-                Event::Rto {
+                Timer::Rto {
                     conn,
                     epoch: req.epoch,
                 },
@@ -1220,6 +1232,95 @@ mod tests {
         // Untraced connections record nothing.
         let other = w.open_connection(h1, h2);
         assert!(w.trace(other).is_none());
+    }
+
+    #[test]
+    fn replacing_a_loaded_path_keeps_its_fifo_order() {
+        // A 10 Mb/s, 100 ms path stays busy once the window exceeds its
+        // bandwidth-delay product, so ACK-clocked sends continue while a
+        // window is in flight. Swapping in a 10 ms path then must not
+        // let the next segments overtake the old path's backlog.
+        let mut w = World::new(TcpConfig::default(), 42);
+        let (a, b) = (w.add_pop(), w.add_pop());
+        let (h1, h2) = (w.add_host(a), w.add_host(b));
+        let path = |delay_ms| {
+            PathConfig::with_delay(SimDuration::from_millis(delay_ms))
+                .rate_bps(10_000_000)
+                .queue_bytes(8 << 20)
+        };
+        w.set_symmetric_path(a, b, path(100));
+        let conn = w.open_connection(h1, h2);
+        w.enable_trace(conn);
+        w.start_transfer(conn, 4_000_000);
+        let swap = SimTime::from_millis(1_500);
+        w.run_until(swap);
+        assert!(w.pending_events() > 50, "a window is in flight");
+        w.set_path(a, b, path(10));
+        w.run_until(SimTime::from_secs(20));
+        assert_eq!(w.drain_completed().len(), 1);
+        let trace = w.trace(conn).expect("tracing enabled");
+        assert_eq!(trace.segments_dropped(), 0, "lossless path");
+        assert!(
+            trace
+                .events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::SegmentSent { at, .. } if *at > swap)),
+            "the sender keeps sending on the new path"
+        );
+        let delivered: Vec<_> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::SegmentDelivered { seq, .. } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            delivered.len() as u64,
+            w.tcp_config().segments_for(4_000_000)
+        );
+        assert!(
+            delivered.windows(2).all(|p| p[0] < p[1]),
+            "segments arrive in the order they were sent"
+        );
+    }
+
+    #[test]
+    fn traces_name_red_early_drops() {
+        use crate::link::AqmPolicy;
+        let mut w = World::new(TcpConfig::default(), 5);
+        let (a, b) = (w.add_pop(), w.add_pop());
+        let (h1, h2) = (w.add_host(a), w.add_host(b));
+        let queue_bytes = 256 * 1024;
+        w.set_symmetric_path(
+            a,
+            b,
+            PathConfig::with_delay(SimDuration::from_millis(20))
+                .rate_bps(20_000_000)
+                .queue_bytes(queue_bytes)
+                .aqm(AqmPolicy::red_for_queue(queue_bytes, false)),
+        );
+        let conns: Vec<ConnId> = (0..6)
+            .map(|_| w.open_and_transfer(h1, h2, 2_000_000).0)
+            .collect();
+        for &c in &conns {
+            w.enable_trace(c);
+        }
+        w.run_until(SimTime::from_secs(60));
+        let stats = w.path_stats(a, b).expect("path exists");
+        assert!(stats.lost_aqm > 0, "RED drops early under six bulk flows");
+        let logs: String = conns
+            .iter()
+            .map(|&c| w.trace(c).expect("tracing enabled").render())
+            .collect();
+        assert_eq!(
+            logs.matches("(AQM early drop)").count() as u64,
+            stats.lost_aqm
+        );
+        assert_eq!(
+            logs.matches("(queue overflow)").count() as u64,
+            stats.lost_overflow
+        );
     }
 
     #[test]
