@@ -371,8 +371,7 @@ impl RiptideAgent {
             let retrans_total: u64 = group.iter().map(|o| o.retrans).sum();
             let ecn_total: u64 = group.iter().map(|o| o.ecn_marks).sum();
             let bytes_total: u64 = group.iter().map(|o| o.bytes_acked).sum();
-            let previous_fresh = self.table.last_fresh(&key);
-            let blended = self.table.observe(
+            let observed = self.table.observe(
                 key,
                 &PolicyInput {
                     fresh,
@@ -383,10 +382,15 @@ impl RiptideAgent {
                 &self.config.policy,
                 now,
             );
+            let blended = observed.blended;
             let (shaped, trend_damped) = match &self.config.trend {
                 Some(trend) => {
-                    let s =
-                        trend.shape(previous_fresh, fresh, blended, self.config.cwnd_min as f64);
+                    let s = trend.shape(
+                        observed.previous_fresh,
+                        fresh,
+                        blended,
+                        self.config.cwnd_min as f64,
+                    );
                     (s, s != blended)
                 }
                 None => (blended, false),
@@ -397,19 +401,17 @@ impl RiptideAgent {
             };
             let window = self.config.clamp(shaped);
             let clamped = window as f64 != shaped.round();
-            self.table.set_window(&key, window);
+            *observed.window = window;
 
             // Guard: feed the group's cumulative loss counters and, when
             // the breaker is not Closed, demote the install to the probe
             // window — the kernel default, as if Riptide never touched
             // this destination.
+            let issued = self.installed.get(&key).copied();
             let mut effective = window;
             let mut suppressed_by = None;
             if let Some(guard) = &mut self.guard {
-                let jump_started = self
-                    .installed
-                    .get(&key)
-                    .is_some_and(|&w| w > guard.config().probe_window);
+                let jump_started = issued.is_some_and(|w| w > guard.config().probe_window);
                 let verdict = guard.update(key, retrans_total, bytes_total, jump_started, now);
                 if verdict.tripped {
                     self.stats.guard_trips += 1;
@@ -437,7 +439,7 @@ impl RiptideAgent {
 
             // Install only when the issued window would actually change —
             // repeating an identical `ip route replace` is pure churn.
-            if !covered && self.installed.get(&key).copied() != Some(effective) {
+            if !covered && issued != Some(effective) {
                 match controller.set_initcwnd(key, effective) {
                     Ok(()) => {
                         self.stats.route_updates += 1;
@@ -499,9 +501,7 @@ impl RiptideAgent {
         // covering route is withdrawn by this tick's pass (step 8), which
         // sees the member group vanish.
         let evicted = match self.aggregator.as_ref() {
-            Some(agg) => self
-                .table
-                .enforce_capacity_grouped(|key| agg.covering_of(key)),
+            Some(agg) => self.table.enforce_capacity_grouped(agg.grouping()),
             None => self.table.enforce_capacity(),
         };
         for key in evicted {

@@ -202,6 +202,28 @@ impl Aggregator {
         self.aggregates.contains_key(&covering).then_some(covering)
     }
 
+    /// [`Aggregator::covering_of`] as the `group_of` of
+    /// [`FinalTable::enforce_capacity_grouped`], which calls it in key
+    /// order: consecutive keys under one covering prefix share a single
+    /// live-aggregate lookup. Its units are contiguous runs, as that
+    /// method requires, because every key longer than the aggregate
+    /// length maps to its covering prefix.
+    pub fn grouping(&self) -> impl FnMut(&Ipv4Prefix) -> Option<Ipv4Prefix> + '_ {
+        let mut last: Option<(Ipv4Prefix, bool)> = None;
+        move |key| {
+            let covering = self.policy.covering_of(key)?;
+            let live = match last {
+                Some((c, live)) if c == covering => live,
+                _ => {
+                    let live = self.aggregates.contains_key(&covering);
+                    last = Some((covering, live));
+                    live
+                }
+            };
+            live.then_some(covering)
+        }
+    }
+
     /// The window of the live aggregate at exactly `covering`.
     pub fn window_of(&self, covering: &Ipv4Prefix) -> Option<u32> {
         self.aggregates.get(covering).copied()
@@ -220,7 +242,81 @@ impl Aggregator {
     /// Entries with a window of 0 (blended but never committed — e.g.
     /// learned under a `Suspend` advisory) are ignored: there is no
     /// window to aggregate.
+    ///
+    /// Cost: one run-length scan of the table. [`Ipv4Prefix`] orders by
+    /// `(bits, len)`, so the keys a covering prefix groups are one
+    /// contiguous run; each run keeps its min and max in one reused
+    /// member buffer, and a cursor over the (sorted) live aggregates
+    /// walks in step with the runs to find each run's aggregate and the
+    /// orphaned ones in between. Member lists are materialised only for
+    /// the merged, retuned and split outcomes; live-aggregate updates
+    /// cost `O(log a)` per outcome.
     pub fn pass(&mut self, table: &FinalTable) -> AggregationPass {
+        let mut pass = AggregationPass::default();
+        let orphan = |covering| SplitOutcome {
+            covering,
+            members: Vec::new(),
+            spread: 0,
+        };
+        let mut live = self.aggregates.iter().peekable();
+        let mut eligible = table
+            .iter()
+            .filter(|(_, e)| e.window != 0)
+            .filter_map(|(k, e)| Some((self.policy.covering_of(k)?, *k, e.window)))
+            .peekable();
+        let mut members: Vec<(Ipv4Prefix, u32)> = Vec::new();
+        while let Some((covering, key, window)) = eligible.next() {
+            members.clear();
+            members.push((key, window));
+            let (mut min, mut max) = (window, window);
+            while let Some((_, key, window)) = eligible.next_if(|(c, _, _)| *c == covering) {
+                members.push((key, window));
+                min = min.min(window);
+                max = max.max(window);
+            }
+            // Aggregates sorting before this run saw no members: their
+            // members all expired or were evicted, so they dissolve with
+            // nothing to reinstall.
+            while let Some((&c, _)) = live.next_if(|(c, _)| **c < covering) {
+                pass.split.push(orphan(c));
+            }
+            let current = live.next_if(|(c, _)| **c == covering).map(|(_, w)| *w);
+            let spread = max - min;
+            let agrees = members.len() >= self.policy.min_siblings && spread <= self.policy.band;
+            let merge = || MergeOutcome {
+                covering,
+                window: min,
+                members: members.iter().map(|(k, _)| *k).collect(),
+                spread,
+            };
+            match (agrees, current) {
+                (true, None) => pass.merged.push(merge()),
+                (true, Some(w)) if w != min => pass.retuned.push(merge()),
+                (false, Some(_)) => pass.split.push(SplitOutcome {
+                    covering,
+                    members: members.clone(),
+                    spread,
+                }),
+                _ => {}
+            }
+        }
+        pass.split.extend(live.map(|(&c, _)| orphan(c)));
+
+        for m in pass.merged.iter().chain(&pass.retuned) {
+            self.aggregates.insert(m.covering, m.window);
+        }
+        for s in &pass.split {
+            self.aggregates.remove(&s.covering);
+        }
+        pass
+    }
+}
+
+/// The map-of-`Vec`s pass the run-length scan replaced, kept as the
+/// reference model its property tests compare against.
+#[cfg(test)]
+impl Aggregator {
+    pub(crate) fn pass_reference(&mut self, table: &FinalTable) -> AggregationPass {
         // Group eligible learned keys under their covering prefix.
         let mut groups: BTreeMap<Ipv4Prefix, Vec<(Ipv4Prefix, u32)>> = BTreeMap::new();
         for (key, entry) in table.iter() {
@@ -464,5 +560,116 @@ mod tests {
         let t = table_with(&[("10.0.1.0/24", 40), ("10.1.0.0/16", 42)]);
         let mut agg = Aggregator::new(AggregationPolicy::default());
         assert!(agg.pass(&t).merged.is_empty());
+    }
+
+    mod props {
+        use super::*;
+        use crate::table::FinalEntry;
+        use proptest::prelude::*;
+        use riptide_simnet::rng::DetRng;
+        use riptide_simnet::time::SimDuration;
+
+        /// A key inside `10.{0,1}.{0..6}.0/16`: a `/16`, a `/24`, a
+        /// `/25` or (most often) a `/32`, so coverings hold mixed
+        /// lengths and the `/24` itself sits in its members' run.
+        fn random_key(rng: &mut DetRng) -> Ipv4Prefix {
+            let addr = Ipv4Addr::new(
+                10,
+                rng.below(2) as u8,
+                rng.below(6) as u8,
+                rng.below(256) as u8,
+            );
+            let len = [16, 24, 25, 32, 32, 32, 32, 32][rng.below(8)];
+            Ipv4Prefix::new(addr, len)
+        }
+
+        /// A copy of `t` bounded at `cap`, keeping the keys `keep` allows.
+        fn rebuild(t: &FinalTable, cap: usize, keep: impl Fn(&Ipv4Prefix) -> bool) -> FinalTable {
+            let mut out = FinalTable::bounded(cap);
+            for (k, e) in t.iter().filter(|(k, _)| keep(k)) {
+                out.restore_entry(*k, e.clone());
+            }
+            out
+        }
+
+        fn entries(t: &FinalTable) -> Vec<(Ipv4Prefix, FinalEntry)> {
+            t.iter().map(|(k, e)| (*k, e.clone())).collect()
+        }
+
+        // Several agent-tick-shaped rounds over one evolving table —
+        // upserts with tied and out-of-order stamps and window-0 entries,
+        // dropped /24 blocks (live aggregates whose members all vanish),
+        // now and then a new capacity, expiry, grouped eviction, then
+        // the aggregation pass — checking the run-length scans against
+        // the map-of-`Vec`s reference models and expiry against a
+        // brute-force filter. Failures name the seed and round.
+        proptest! {
+            #[test]
+            fn scans_match_the_reference_models(seed in any::<u64>(), rounds in 1usize..10) {
+                let mut rng = DetRng::from_seed(seed);
+                let strategy = HistoryStrategy::None;
+                let policy = AggregationPolicy::default();
+                let mut agg = Aggregator::new(policy);
+                let mut agg_ref = Aggregator::new(policy);
+                let mut t = FinalTable::new();
+                for round in 0..rounds {
+                    let now = SimTime::from_secs(10 * (round as u64 + 1));
+                    for _ in 0..rng.below(120) {
+                        let key = random_key(&mut rng);
+                        let back = [0, 0, 0, 15][rng.below(4)];
+                        let at = (10 * round as u64 + rng.below(4) as u64).saturating_sub(back);
+                        t.blend(key, 40.0, &strategy, SimTime::from_secs(at));
+                        let window = match rng.below(8) {
+                            0 => 0,
+                            _ => 36 + rng.below(16) as u32,
+                        };
+                        t.set_window(&key, window);
+                    }
+                    if rng.below(3) == 0 {
+                        let block = rng.below(6) as u8;
+                        t = rebuild(&t, t.capacity().unwrap_or(0), |k| {
+                            k.len() <= 24 || k.network().octets()[2] != block
+                        });
+                    }
+                    if round == 0 || rng.below(3) == 0 {
+                        let cap = match rng.below(2) {
+                            0 => rng.below(t.len() + 1),
+                            _ => t.len().saturating_sub(rng.below(8)),
+                        };
+                        t = rebuild(&t, cap, |_| true);
+                    }
+                    let at = |what: &str| format!("seed {seed} round {round}: {what}");
+
+                    let ttl = SimDuration::from_secs(rng.below(40) as u64);
+                    let stale: Vec<Ipv4Prefix> = t
+                        .iter()
+                        .filter(|(_, e)| now.saturating_since(e.last_updated) > ttl)
+                        .map(|(k, _)| *k)
+                        .collect();
+                    prop_assert_eq!(t.expire(now, ttl), stale, "{}", at("expire"));
+
+                    let mut t_ref = t.clone();
+                    let (got, want) = if rng.below(2) == 0 {
+                        (
+                            t.enforce_capacity_grouped(agg.grouping()),
+                            t_ref.enforce_capacity_grouped_reference(|k| agg_ref.covering_of(k)),
+                        )
+                    } else {
+                        (
+                            t.enforce_capacity_grouped(|k| policy.covering_of(k)),
+                            t_ref.enforce_capacity_grouped_reference(|k| policy.covering_of(k)),
+                        )
+                    };
+                    prop_assert_eq!(got, want, "{}", at("grouped eviction"));
+                    prop_assert_eq!(entries(&t), entries(&t_ref), "{}", at("table"));
+
+                    let (got, want) = (agg.pass(&t), agg_ref.pass_reference(&t));
+                    prop_assert_eq!(got.merged, want.merged, "{}", at("merged"));
+                    prop_assert_eq!(got.retuned, want.retuned, "{}", at("retuned"));
+                    prop_assert_eq!(got.split, want.split, "{}", at("split"));
+                    prop_assert!(agg.iter().eq(agg_ref.iter()), "{}", at("live aggregates"));
+                }
+            }
+        }
     }
 }

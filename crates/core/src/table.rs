@@ -61,6 +61,25 @@ pub struct FinalEntry {
 pub struct FinalTable {
     entries: BTreeMap<Ipv4Prefix, FinalEntry>,
     capacity: Option<usize>,
+    /// A lower bound on every entry's `last_updated`. Every stamp write
+    /// lowers it and every expiry scan recomputes it exactly; removals
+    /// only raise the true minimum, so it stays a valid bound through
+    /// evictions. [`FinalTable::expire`] skips its scan while no entry
+    /// can be older than the TTL.
+    oldest: SimTime,
+}
+
+/// An observation's effect on one entry, from [`FinalTable::observe`].
+#[derive(Debug)]
+pub struct Observed<'a> {
+    /// The blended pre-clamp value.
+    pub blended: f64,
+    /// The entry's fresh value before this observation (`None` for a
+    /// new entry) — what the trend policy differentiates against.
+    pub previous_fresh: Option<f64>,
+    /// The entry's window, for the caller to commit the clamped value
+    /// into without a second lookup.
+    pub window: &'a mut u32,
 }
 
 impl FinalTable {
@@ -74,6 +93,7 @@ impl FinalTable {
         FinalTable {
             entries: BTreeMap::new(),
             capacity: Some(capacity),
+            oldest: SimTime::ZERO,
         }
     }
 
@@ -122,7 +142,216 @@ impl FinalTable {
     /// as in [`FinalTable::enforce_capacity`]. Victim order is
     /// deterministic: ascending `(last_updated, unit key)`, members in
     /// key order within a group.
+    ///
+    /// `group_of` is called once per entry, in key order. It must return
+    /// `None` (the key is its own unit) or a prefix covering the key,
+    /// such that the keys of one unit are contiguous in key order — as
+    /// they are when every key longer than a fixed aggregate length
+    /// inside a covering maps to that covering. [`Ipv4Prefix`] orders by
+    /// `(bits, len)`, so a covering's members then form one run, which
+    /// only the covering key itself can join (it sorts first). Units
+    /// therefore strictly ascend across runs; debug builds assert it.
+    ///
+    /// Cost: one run-length scan into one `Vec` of `(newest, first key,
+    /// members)` records, one per unit, and no map; then `O(units + k
+    /// log k)` to select and order `k` victim units — `O(n + k log k)`
+    /// overall, the property the `megacdn` bench gates at a million
+    /// entries.
     pub fn enforce_capacity_grouped(
+        &mut self,
+        mut group_of: impl FnMut(&Ipv4Prefix) -> Option<Ipv4Prefix>,
+    ) -> Vec<Ipv4Prefix> {
+        let Some(cap) = self.capacity else {
+            return Vec::new();
+        };
+        if self.entries.len() <= cap {
+            return Vec::new();
+        }
+        // `(newest stamp, first key, members)` per unit. Units ascend
+        // with their runs, so first keys order them as unit keys would.
+        // Sized once: a restart's first pass, before any aggregate
+        // re-forms, charges every entry as its own unit, and a growing
+        // `Vec` would hold its old and new buffers at once at that peak.
+        let mut units: Vec<(SimTime, Ipv4Prefix, u32)> = Vec::with_capacity(self.entries.len());
+        let mut unit = None;
+        for (k, e) in &self.entries {
+            let this = group_of(k).unwrap_or(*k);
+            match units.last_mut() {
+                Some((newest, _, members)) if unit == Some(this) => {
+                    *newest = (*newest).max(e.last_updated);
+                    *members += 1;
+                }
+                _ => {
+                    debug_assert!(
+                        unit.is_none_or(|u| u < this),
+                        "group_of split unit {this} into non-contiguous runs"
+                    );
+                    unit = Some(this);
+                    units.push((e.last_updated, *k, 1));
+                }
+            }
+        }
+        if units.len() <= cap {
+            return Vec::new();
+        }
+        // Only the `excess` oldest units need a total order: select,
+        // then sort just that head. First keys are unique, so the order
+        // never looks past them.
+        let excess = units.len() - cap;
+        if excess < units.len() {
+            units.select_nth_unstable(excess - 1);
+        }
+        units.truncate(excess);
+        units.sort_unstable();
+        let mut evicted = Vec::new();
+        for (_, first, members) in units {
+            let from = evicted.len();
+            evicted.extend(
+                self.entries
+                    .range(first..)
+                    .take(members as usize)
+                    .map(|(k, _)| *k),
+            );
+            for k in &evicted[from..] {
+                self.entries.remove(k);
+            }
+        }
+        evicted
+    }
+
+    /// Number of live destinations.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Occupancy as a fraction of capacity, in `[0, 1]` (`None` for
+    /// unbounded tables) — telemetry's view of eviction pressure.
+    pub fn utilization(&self) -> Option<f64> {
+        self.capacity
+            .map(|cap| self.entries.len() as f64 / cap.max(1) as f64)
+    }
+
+    /// The entry for `key`, if present.
+    pub fn get(&self, key: &Ipv4Prefix) -> Option<&FinalEntry> {
+        self.entries.get(key)
+    }
+
+    /// The installed window for `key`, if present.
+    pub fn window(&self, key: &Ipv4Prefix) -> Option<u32> {
+        self.entries.get(key).map(|e| e.window)
+    }
+
+    /// Records the final clamped window for `key` after blending (the
+    /// clamp depends on the blended value, so it commits separately).
+    pub fn set_window(&mut self, key: &Ipv4Prefix, window: u32) {
+        if let Some(e) = self.entries.get_mut(key) {
+            e.window = window;
+        }
+    }
+
+    /// Blends `fresh` through the history for `key` without committing a
+    /// window yet, creating the entry if needed.
+    pub fn blend<P: Policy + ?Sized>(
+        &mut self,
+        key: Ipv4Prefix,
+        fresh: f64,
+        policy: &P,
+        now: SimTime,
+    ) -> f64 {
+        self.observe(key, &PolicyInput::fresh_only(fresh), policy, now)
+            .blended
+    }
+
+    /// Feeds a full observation group (fresh value plus loss counters)
+    /// through the policy for `key`, creating the entry if needed — the
+    /// loss-aware generalisation of [`FinalTable::blend`]. One lookup
+    /// serves the whole update: the result carries the previous fresh
+    /// value and the entry's window slot for the clamped commit.
+    pub fn observe<P: Policy + ?Sized>(
+        &mut self,
+        key: Ipv4Prefix,
+        input: &PolicyInput,
+        policy: &P,
+        now: SimTime,
+    ) -> Observed<'_> {
+        self.oldest = self.oldest.min(now);
+        let mut previous_fresh = None;
+        let entry = self
+            .entries
+            .entry(key)
+            .and_modify(|e| previous_fresh = Some(e.last_fresh))
+            .or_insert_with(|| FinalEntry {
+                window: 0,
+                history: policy.new_state(),
+                last_fresh: input.fresh,
+                last_updated: now,
+            });
+        entry.last_updated = now;
+        let blended = policy.observe(&mut entry.history, input);
+        entry.last_fresh = input.fresh;
+        Observed {
+            blended,
+            previous_fresh,
+            window: &mut entry.window,
+        }
+    }
+
+    /// Removes and returns every key whose entry is older than `ttl` at
+    /// `now` — Algorithm 1's expiry step.
+    ///
+    /// Cost: `O(1)` while the table's lower bound on `last_updated`
+    /// shows no entry can be stale, which is most ticks; otherwise one
+    /// scan, which also recomputes that bound exactly.
+    pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<Ipv4Prefix> {
+        if now.saturating_since(self.oldest) <= ttl {
+            return Vec::new();
+        }
+        let mut dead = Vec::new();
+        let mut oldest = SimTime::MAX;
+        for (k, e) in &self.entries {
+            if now.saturating_since(e.last_updated) > ttl {
+                dead.push(*k);
+            } else {
+                oldest = oldest.min(e.last_updated);
+            }
+        }
+        for k in &dead {
+            self.entries.remove(k);
+        }
+        self.oldest = oldest;
+        dead
+    }
+
+    /// Iterates live entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &FinalEntry)> {
+        self.entries.iter()
+    }
+
+    /// Inserts a fully-formed entry, replacing any existing one — the
+    /// warm-restart seam: `persist`/gossip restore rebuilds the table
+    /// from decoded [`FinalEntry`] values (including their original
+    /// `last_updated` stamps, so TTL keeps running across a restart)
+    /// instead of re-learning through [`FinalTable::blend`].
+    ///
+    /// Callers are responsible for validating the entry first (the
+    /// agent's restore clamps windows and re-seeds mismatched history
+    /// variants); the table itself stores what it is given.
+    pub fn restore_entry(&mut self, key: Ipv4Prefix, entry: FinalEntry) {
+        self.oldest = self.oldest.min(entry.last_updated);
+        self.entries.insert(key, entry);
+    }
+}
+
+/// The map-of-`Vec`s capacity pass the run-length scan replaced, kept
+/// as the reference model its property tests compare against.
+#[cfg(test)]
+impl FinalTable {
+    pub(crate) fn enforce_capacity_grouped_reference(
         &mut self,
         group_of: impl Fn(&Ipv4Prefix) -> Option<Ipv4Prefix>,
     ) -> Vec<Ipv4Prefix> {
@@ -166,142 +395,6 @@ impl FinalTable {
         }
         evicted
     }
-
-    /// Number of live destinations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Occupancy as a fraction of capacity, in `[0, 1]` (`None` for
-    /// unbounded tables) — telemetry's view of eviction pressure.
-    pub fn utilization(&self) -> Option<f64> {
-        self.capacity
-            .map(|cap| self.entries.len() as f64 / cap.max(1) as f64)
-    }
-
-    /// The entry for `key`, if present.
-    pub fn get(&self, key: &Ipv4Prefix) -> Option<&FinalEntry> {
-        self.entries.get(key)
-    }
-
-    /// The installed window for `key`, if present.
-    pub fn window(&self, key: &Ipv4Prefix) -> Option<u32> {
-        self.entries.get(key).map(|e| e.window)
-    }
-
-    /// Blends `fresh` into the entry for `key` (creating it if new),
-    /// stamps it with `now`, stores the clamped `window`, and returns the
-    /// blended pre-clamp value. Any [`Policy`] — a plain
-    /// [`HistoryStrategy`](crate::history::HistoryStrategy) or a
-    /// [`LearningPolicy`](crate::policy::LearningPolicy) — drives the
-    /// blend.
-    pub fn update<P: Policy + ?Sized>(
-        &mut self,
-        key: Ipv4Prefix,
-        fresh: f64,
-        window: u32,
-        policy: &P,
-        now: SimTime,
-    ) -> f64 {
-        let entry = self.entries.entry(key).or_insert_with(|| FinalEntry {
-            window,
-            history: policy.new_state(),
-            last_fresh: fresh,
-            last_updated: now,
-        });
-        let blended = policy.blend(&mut entry.history, fresh);
-        entry.window = window;
-        entry.last_fresh = fresh;
-        entry.last_updated = now;
-        blended
-    }
-
-    /// The most recent fresh (pre-blend) value recorded for `key`.
-    pub fn last_fresh(&self, key: &Ipv4Prefix) -> Option<f64> {
-        self.entries.get(key).map(|e| e.last_fresh)
-    }
-
-    /// Records the final clamped window for `key` after blending (split
-    /// from [`FinalTable::update`] because the clamp depends on the
-    /// blended value).
-    pub fn set_window(&mut self, key: &Ipv4Prefix, window: u32) {
-        if let Some(e) = self.entries.get_mut(key) {
-            e.window = window;
-        }
-    }
-
-    /// Blends `fresh` through the history for `key` without committing a
-    /// window yet, creating the entry if needed.
-    pub fn blend<P: Policy + ?Sized>(
-        &mut self,
-        key: Ipv4Prefix,
-        fresh: f64,
-        policy: &P,
-        now: SimTime,
-    ) -> f64 {
-        self.observe(key, &PolicyInput::fresh_only(fresh), policy, now)
-    }
-
-    /// Feeds a full observation group (fresh value plus loss counters)
-    /// through the policy for `key` without committing a window yet,
-    /// creating the entry if needed — the loss-aware generalisation of
-    /// [`FinalTable::blend`].
-    pub fn observe<P: Policy + ?Sized>(
-        &mut self,
-        key: Ipv4Prefix,
-        input: &PolicyInput,
-        policy: &P,
-        now: SimTime,
-    ) -> f64 {
-        let entry = self.entries.entry(key).or_insert_with(|| FinalEntry {
-            window: 0,
-            history: policy.new_state(),
-            last_fresh: input.fresh,
-            last_updated: now,
-        });
-        entry.last_updated = now;
-        let blended = policy.observe(&mut entry.history, input);
-        entry.last_fresh = input.fresh;
-        blended
-    }
-
-    /// Removes and returns every key whose entry is older than `ttl` at
-    /// `now` — Algorithm 1's expiry step.
-    pub fn expire(&mut self, now: SimTime, ttl: SimDuration) -> Vec<Ipv4Prefix> {
-        let dead: Vec<Ipv4Prefix> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.saturating_since(e.last_updated) > ttl)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &dead {
-            self.entries.remove(k);
-        }
-        dead
-    }
-
-    /// Iterates live entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Prefix, &FinalEntry)> {
-        self.entries.iter()
-    }
-
-    /// Inserts a fully-formed entry, replacing any existing one — the
-    /// warm-restart seam: `persist`/gossip restore rebuilds the table
-    /// from decoded [`FinalEntry`] values (including their original
-    /// `last_updated` stamps, so TTL keeps running across a restart)
-    /// instead of re-learning through [`FinalTable::blend`].
-    ///
-    /// Callers are responsible for validating the entry first (the
-    /// agent's restore clamps windows and re-seeds mismatched history
-    /// variants); the table itself stores what it is given.
-    pub fn restore_entry(&mut self, key: Ipv4Prefix, entry: FinalEntry) {
-        self.entries.insert(key, entry);
-    }
 }
 
 #[cfg(test)]
@@ -339,6 +432,51 @@ mod tests {
         assert_eq!(dead, vec![key(1)]);
         assert_eq!(t.len(), 1);
         assert!(t.get(&key(2)).is_some());
+    }
+
+    #[test]
+    fn restored_old_stamp_expires_on_time() {
+        // The scan at t=95 tightens the age bound to t=40; a restore then
+        // brings back an entry stamped t=10, older than that bound.
+        let strategy = HistoryStrategy::None;
+        let ttl = SimDuration::from_secs(90);
+        let mut t = FinalTable::new();
+        t.blend(key(1), 50.0, &strategy, SimTime::from_secs(40));
+        assert!(t.expire(SimTime::from_secs(95), ttl).is_empty());
+        let mut old = t.get(&key(1)).expect("learned").clone();
+        old.last_updated = SimTime::from_secs(10);
+        t.restore_entry(key(2), old);
+        assert!(t.expire(SimTime::from_secs(100), ttl).is_empty());
+        assert_eq!(t.expire(SimTime::from_secs(101), ttl), vec![key(2)]);
+        assert_eq!(t.expire(SimTime::from_secs(131), ttl), vec![key(1)]);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn eviction_keeps_the_age_bound_valid() {
+        // Evicting the oldest entry raises the true minimum stamp; the
+        // remaining entries must still expire exactly on time.
+        let strategy = HistoryStrategy::None;
+        let ttl = SimDuration::from_secs(90);
+        let mut t = FinalTable::bounded(2);
+        for (n, at) in [(1u8, 10u64), (2, 20), (3, 30)] {
+            t.blend(key(n), 1.0, &strategy, SimTime::from_secs(at));
+        }
+        assert_eq!(t.enforce_capacity(), vec![key(1)]);
+        assert!(t.expire(SimTime::from_secs(110), ttl).is_empty());
+        assert_eq!(t.expire(SimTime::from_secs(111), ttl), vec![key(2)]);
+        t.blend(key(4), 1.0, &strategy, SimTime::from_secs(25));
+        assert_eq!(t.enforce_capacity(), Vec::<Ipv4Prefix>::new());
+        assert_eq!(t.expire(SimTime::from_secs(116), ttl), vec![key(4)]);
+        assert_eq!(t.expire(SimTime::from_secs(121), ttl), vec![key(3)]);
+    }
+
+    #[test]
+    fn expire_on_an_empty_table_returns_nothing() {
+        let mut t = FinalTable::new();
+        assert!(t.expire(SimTime::MAX, SimDuration::ZERO).is_empty());
+        assert!(t.expire(SimTime::ZERO, SimDuration::ZERO).is_empty());
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -470,6 +608,20 @@ mod tests {
             t.enforce_capacity_grouped(group),
             vec![Ipv4Prefix::host(Ipv4Addr::new(10, 9, 9, 9))]
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-contiguous runs")]
+    fn non_contiguous_grouping_is_caught() {
+        // 10.0.0.2 stays its own unit between two members of the /24:
+        // the /24's unit would split into two runs.
+        let strategy = HistoryStrategy::None;
+        let mut t = FinalTable::bounded(1);
+        for n in 1..=3 {
+            t.blend(key(n), 1.0, &strategy, SimTime::ZERO);
+        }
+        t.enforce_capacity_grouped(|k| (*k != key(2)).then(|| k.covering(24)));
     }
 
     #[test]

@@ -614,7 +614,8 @@ proptest! {
             for (i, &(n, w)) in updates.iter().enumerate() {
                 let now = SimTime::ZERO + SimDuration::from_secs(i as u64 + 1);
                 let key = Ipv4Prefix::host(Ipv4Addr::new(10, 0, 9, n));
-                table.update(key, w as f64, w, &strategy, now);
+                table.blend(key, w as f64, &strategy, now);
+                table.set_window(&key, w);
                 let evicted = table.enforce_capacity();
                 assert!(table.len() <= cap, "table grew past its bound");
                 assert!(
